@@ -22,6 +22,7 @@ import (
 	"adhocrace/internal/harness"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/sched"
+	"adhocrace/internal/spin"
 	"adhocrace/internal/vm"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -277,6 +278,47 @@ func BenchmarkReplayEventsPerSec(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceDecode measures the binary trace decoder alone: Next
+// over the recorded freqmine lib+spin(7) trace (the PARSEC model richest
+// in spin reads), reported as ns/event. The header parse runs outside the
+// timed region; no detector runs (BenchmarkReplayEventsPerSec adds
+// detection on top).
+func BenchmarkTraceDecode(b *testing.B) {
+	m, ok := parsec.ByName("freqmine")
+	if !ok {
+		b.Fatal("no freqmine model")
+	}
+	var buf bytes.Buffer
+	if _, _, err := detect.RecordTrace(&buf, m.Build(), detect.HelgrindPlusLibSpin(7), 1,
+		event.TraceMeta{Workload: "freqmine", Tool: "spin", Window: 7, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr, err := event.NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		var ev event.Event
+		for {
+			ok, err := tr.Next(&ev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		events += tr.Count()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkAblationSpinFeature quantifies the design choices DESIGN.md
 // calls out, as detector-accuracy ablations on the accuracy suite:
 // spin window (3 vs 7), library knowledge (lib vs nolib), and the
@@ -304,7 +346,9 @@ func BenchmarkAblationSpinFeature(b *testing.B) {
 }
 
 // BenchmarkInstrumentationPhase measures the static analysis alone (CFG,
-// loops, classification) across window sizes.
+// loops, classification) across window sizes. It calls spin.Analyze
+// directly: Config.Instrument memoizes the analysis on the program, so
+// only its first call per window would do the work.
 func BenchmarkInstrumentationPhase(b *testing.B) {
 	m, ok := parsec.ByName("bodytrack")
 	if !ok {
@@ -314,9 +358,8 @@ func BenchmarkInstrumentationPhase(b *testing.B) {
 	for _, window := range []int{3, 7, 8} {
 		window := window
 		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
-			cfg := detect.HelgrindPlusLibSpin(window)
 			for i := 0; i < b.N; i++ {
-				ins := cfg.Instrument(prog)
+				ins := spin.Analyze(prog, window)
 				if ins.NumLoops() == 0 {
 					b.Fatal("no loops classified")
 				}

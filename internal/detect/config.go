@@ -231,11 +231,12 @@ func (c *Config) supportsSync(k ir.SyncKind) bool {
 	return c.SyncSupport[k]
 }
 
-// Instrument runs the instrumentation phase of the configuration over a
-// program (nil when the spin feature is off).
+// Instrument returns the instrumentation phase of the configuration over a
+// program (nil when the spin feature is off). The analysis runs once per
+// (program, spin window) and is memoized on the program (ir.Program.Derived),
+// so every run, recording and replay of one program shares the same
+// *spin.Instrumentation — the load-time phase of the paper's tool, paid
+// once. Safe for concurrent use.
 func (c *Config) Instrument(p *ir.Program) *spin.Instrumentation {
-	if c.SpinWindow <= 0 {
-		return nil
-	}
-	return spin.Analyze(p, c.SpinWindow)
+	return instrument(p, c.SpinWindow)
 }

@@ -27,12 +27,12 @@ import (
 // supply the registry workload name and short tool name so a replayer can
 // rebuild both sides). Returns the vm result and events recorded.
 func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.TraceMeta) (vm.Result, int64, error) {
-	ins := cfg.Instrument(p)
 	tw := event.NewTraceWriter(w, meta, p.Interning())
 	res, err := vm.Run(p, vm.Options{
 		Seed:      seed,
 		KnownLibs: cfg.KnownLibs,
-		Instr:     ins,
+		Instr:     cfg.Instrument(p),
+		Decoded:   decoded(p, cfg.SpinWindow),
 		Sink:      tw,
 	})
 	if err != nil {
@@ -47,20 +47,15 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 // vm-side knobs — overlap, interrupt, deadline — have no vm to act on).
 // The program must be the same build that was recorded: its interning
 // table is checked against the trace header before any event is decoded.
+// The instrumentation is the program's memoized one (Config.Instrument),
+// so a replay of a prepared program pays for decode and detection only.
 // Returns the report and the events replayed.
 func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts) (*Report, int64, error) {
 	if err := tr.CheckTable(p.Interning()); err != nil {
 		return nil, 0, err
 	}
-	ins := cfg.Instrument(p)
-	d := NewSharded(cfg, ins, p, opts.Shards)
+	d := newPipeline(p, cfg, opts)
 	defer d.Close()
-	if opts.GCShadow {
-		d.EnableShadowGC(opts.GCEvents)
-	}
-	d.setObs(opts.Obs)
-	d.setFault(opts.Fault)
-	d.setWarningObserver(opts.OnWarning)
 	var sink event.Sink = d
 	if opts.Tap != nil {
 		sink = event.Multi(opts.Tap, d)

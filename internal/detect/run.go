@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,81 +90,44 @@ func (o RunOpts) Overlapped() RunOpts {
 	return o
 }
 
-// Prepared is a workload compiled once and shared by many detector runs:
-// the program plus its instrumentation memoized per spin window. Both are
-// immutable at run time — the vm keeps all execution state private and the
+// Prepared is a workload compiled once and shared by many detector runs.
+// Its instrumentation and vm decode per spin window are the program's own
+// memoized analyses (Config.Instrument, ir.Program.Derived) — both
+// immutable at run time: the vm keeps all execution state private and the
 // spin analysis is purely static — so concurrent runs (the experiment
-// engine's jobs, sharded workers) can share one Prepared. This removes the
-// per-job rebuild + re-instrument cost that used to dominate harness
-// allocations.
+// engine's jobs, sharded workers) share them, and so does every other
+// entry point handed the same program (RunOpt, RecordTrace, ReplayTrace).
 type Prepared struct {
 	Prog *ir.Program
-
-	mu  sync.Mutex
-	ins map[int]*spin.Instrumentation
-	dec map[int]*vm.Decoded
 }
 
 // Prepare wraps an already-built program for shared runs.
-func Prepare(p *ir.Program) *Prepared {
-	return &Prepared{
-		Prog: p,
-		ins:  make(map[int]*spin.Instrumentation),
-		dec:  make(map[int]*vm.Decoded),
-	}
-}
+func Prepare(p *ir.Program) *Prepared { return &Prepared{Prog: p} }
 
 // PrepareBuild builds and wraps a workload.
 func PrepareBuild(build func() *ir.Program) *Prepared { return Prepare(build()) }
 
-// Instrument returns cfg's instrumentation phase over the program,
-// memoized per spin window (nil when the spin feature is off). Safe for
+// Instrument returns cfg's instrumentation phase over the program (nil
+// when the spin feature is off); see Config.Instrument. Safe for
 // concurrent use.
-func (pr *Prepared) Instrument(cfg Config) *spin.Instrumentation {
-	if cfg.SpinWindow <= 0 {
-		return nil
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	ins, ok := pr.ins[cfg.SpinWindow]
-	if !ok {
-		ins = cfg.Instrument(pr.Prog)
-		pr.ins[cfg.SpinWindow] = ins
-	}
-	return ins
-}
+func (pr *Prepared) Instrument(cfg Config) *spin.Instrumentation { return cfg.Instrument(pr.Prog) }
 
 // Decoded returns the program's pre-decoded executable form under cfg's
 // instrumentation (vm.Decode), memoized per spin window like Instrument.
 // Safe for concurrent use; the decoded form is immutable.
-func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
-	ins := pr.Instrument(cfg)
-	window := cfg.SpinWindow
-	if ins == nil {
-		// Every spin-off configuration shares the uninstrumented decode.
-		window = 0
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	d, ok := pr.dec[window]
-	if !ok {
-		d = vm.Decode(pr.Prog, ins)
-		pr.dec[window] = d
-	}
-	return d
-}
+func (pr *Prepared) Decoded(cfg Config) *vm.Decoded { return decoded(pr.Prog, cfg.SpinWindow) }
 
 // Run executes the prepared workload under one tool configuration, seed,
 // and pipeline shape, feeding the event stream through a fresh detector.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return runPrepared(pr.Prog, pr.Instrument(cfg), pr.Decoded(cfg), cfg, seed, opts, nil)
+	return run(pr.Prog, cfg, seed, opts, nil)
 }
 
 // RunWithCounter is Run with an event counter tapping the stream ahead of
 // the detector.
 func (pr *Prepared) RunWithCounter(cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
 	ctr := &event.Counter{}
-	rep, res, err := runPrepared(pr.Prog, pr.Instrument(cfg), pr.Decoded(cfg), cfg, seed, opts, ctr)
+	rep, res, err := run(pr.Prog, cfg, seed, opts, ctr)
 	return rep, ctr, res, err
 }
 
@@ -186,7 +148,7 @@ func RunSharded(p *ir.Program, cfg Config, seed int64, shards int) (*Report, vm.
 
 // RunOpt is Run with an explicit pipeline shape.
 func RunOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return runInstrumented(p, cfg.Instrument(p), cfg, seed, opts, nil)
+	return run(p, cfg, seed, opts, nil)
 }
 
 // RunWithCounter is Run with an event counter attached (for the performance
@@ -205,31 +167,17 @@ func RunWithCounterSharded(p *ir.Program, cfg Config, seed int64, shards int) (*
 // RunWithCounterOpt is RunWithCounter with an explicit pipeline shape.
 func RunWithCounterOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
 	ctr := &event.Counter{}
-	rep, res, err := runInstrumented(p, cfg.Instrument(p), cfg, seed, opts, ctr)
+	rep, res, err := run(p, cfg, seed, opts, ctr)
 	return rep, ctr, res, err
 }
 
-// runInstrumented is the shared run body: build the detector for the
-// requested pipeline shape, execute, report. ctr, when non-nil, taps the
-// stream ahead of the detector. The vm decodes the program itself; use
-// runPrepared to reuse a memoized decode across runs.
-func runInstrumented(p *ir.Program, ins *spin.Instrumentation, cfg Config, seed int64,
-	opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
-	return runPrepared(p, ins, nil, cfg, seed, opts, ctr)
-}
-
-// runPrepared is runInstrumented with an optional pre-decoded program
-// (nil means the vm decodes on construction).
-func runPrepared(p *ir.Program, ins *spin.Instrumentation, dec *vm.Decoded, cfg Config, seed int64,
-	opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
-	d := NewSharded(cfg, ins, p, opts.Shards)
+// run is the shared run body: build the detector for the requested
+// pipeline shape, execute the program's memoized decode under cfg's
+// instrumentation, report. ctr, when non-nil, taps the stream ahead of the
+// detector.
+func run(p *ir.Program, cfg Config, seed int64, opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
+	d := newPipeline(p, cfg, opts)
 	defer d.Close()
-	if opts.GCShadow {
-		d.EnableShadowGC(opts.GCEvents)
-	}
-	d.setObs(opts.Obs)
-	d.setFault(opts.Fault)
-	d.setWarningObserver(opts.OnWarning)
 	var sink event.Sink = d
 	switch {
 	case ctr != nil && opts.Tap != nil:
@@ -242,7 +190,7 @@ func runPrepared(p *ir.Program, ins *spin.Instrumentation, dec *vm.Decoded, cfg 
 	res, err := vm.Run(p, vm.Options{
 		Seed:             seed,
 		KnownLibs:        cfg.KnownLibs,
-		Instr:            ins,
+		Instr:            d.ins,
 		Sink:             sink,
 		SegmentEvents:    opts.SegmentEvents,
 		AdaptiveSegments: opts.AdaptiveSegments,
@@ -250,16 +198,59 @@ func runPrepared(p *ir.Program, ins *spin.Instrumentation, dec *vm.Decoded, cfg 
 		Deadline:         opts.Deadline,
 		Obs:              opts.Obs,
 		Fault:            opts.Fault,
-		Decoded:          dec,
+		Decoded:          decoded(p, cfg.SpinWindow),
 		Reference:        opts.Reference,
 	})
 	return d.Report(), res, err
 }
 
+// newPipeline builds the detector of one run or replay: cfg's memoized
+// instrumentation of p, opts' shard count, shadow GC, observability,
+// failpoints and warning observer. The caller closes it.
+func newPipeline(p *ir.Program, cfg Config, opts RunOpts) *Detector {
+	d := NewSharded(cfg, cfg.Instrument(p), p, opts.Shards)
+	if opts.GCShadow {
+		d.EnableShadowGC(opts.GCEvents)
+	}
+	d.setObs(opts.Obs)
+	d.setFault(opts.Fault)
+	d.setWarningObserver(opts.OnWarning)
+	return d
+}
+
+// instrumentKey and decodeKey are detect's ir.Program.Derived keys: the
+// spin instrumentation and the vm decode of a program, per spin window
+// (decodeKey 0 is the uninstrumented decode every spin-off configuration
+// shares).
+type (
+	instrumentKey int
+	decodeKey     int
+)
+
+// instrument is Config.Instrument by window.
+func instrument(p *ir.Program, window int) *spin.Instrumentation {
+	if window <= 0 {
+		return nil
+	}
+	return p.Derived(instrumentKey(window), func() any { return spin.Analyze(p, window) }).(*spin.Instrumentation)
+}
+
+// decoded returns the program's pre-decoded executable form under the
+// window's instrumentation (vm.Decode), memoized on the program like
+// instrument.
+func decoded(p *ir.Program, window int) *vm.Decoded {
+	if window < 0 {
+		window = 0
+	}
+	ins := instrument(p, window)
+	return p.Derived(decodeKey(window), func() any { return vm.Decode(p, ins) }).(*vm.Decoded)
+}
+
 // Baseline executes the program with no detector attached, for runtime
-// overhead comparisons.
+// overhead comparisons: the uninstrumented vm on the program's memoized
+// decode, so repeated baselines time execution alone.
 func Baseline(p *ir.Program, seed int64) (vm.Result, error) {
-	return vm.Run(p, vm.Options{Seed: seed, KnownLibs: map[ir.LibTag]bool{
+	return vm.Run(p, vm.Options{Seed: seed, Decoded: decoded(p, 0), KnownLibs: map[ir.LibTag]bool{
 		ir.LibPthread: true, ir.LibGlib: true, ir.LibOMP: true,
 	}})
 }

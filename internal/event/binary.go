@@ -198,19 +198,22 @@ func (t *TraceWriter) Close() error {
 	return t.err
 }
 
-// byteSource is what the decoder actually needs: varint-grained reads
-// plus bulk reads for header strings. bytes.Reader and bufio.Reader both
-// satisfy it directly.
-type byteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
 // TraceReader decodes a binary trace: the header eagerly (bounded
 // allocation), then one event per Next call into a caller-owned Event
 // with no steady-state allocation.
+//
+// The reader owns its input window: buf[off:] holds the bytes read from
+// the source but not yet decoded, refilled traceChunk bytes at a time, and
+// varints decode straight off the slice (binary.Uvarint, with a one-byte
+// fast path) — no per-byte interface call into the source. A header table
+// is pinned in the window while it is validated so its strings can be
+// converted in one piece (readTable).
 type TraceReader struct {
-	r     byteSource
+	src   io.Reader
+	buf   []byte
+	off   int
+	pin   int   // window offset kept across refills, or -1
+	rerr  error // sticky source error (io.EOF at the end of input)
 	meta  TraceMeta
 	syms  []string
 	locs  []ir.Loc
@@ -218,24 +221,32 @@ type TraceReader struct {
 	done  bool
 }
 
+// traceChunk is the reader's refill size: the window's capacity, and how
+// much one source read asks for.
+const traceChunk = 64 << 10
+
 // NewTraceReader parses the trace header and returns a reader positioned
 // at the first event. Returns ErrTraceMagic, ErrTraceVersion, or
 // ErrTraceCorrupt (all wrapped with detail) on a bad header.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	src, ok := r.(byteSource)
+	size := traceChunk
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
+		// An in-memory trace shorter than a chunk (bytes.Reader and
+		// strings.Reader report what is left) gets a window its size:
+		// short replays would otherwise spend more on a zeroed 64 KiB
+		// window than on their header.
+		size = l.Len()
+	}
+	t := &TraceReader{src: r, buf: make([]byte, 0, size), pin: -1}
+	if !t.fill(len(traceMagic)) {
+		return nil, fmt.Errorf("%w: input ends before the magic (%v)", ErrTraceMagic, t.rerr)
+	}
+	if magic := t.buf[t.off : t.off+len(traceMagic)]; string(magic) != traceMagic {
+		return nil, fmt.Errorf("%w: got %q", ErrTraceMagic, magic)
+	}
+	t.off += len(traceMagic)
+	version, ok := t.uvarint()
 	if !ok {
-		src = newByteSourceReader(r)
-	}
-	t := &TraceReader{r: src}
-	var magic [4]byte
-	if _, err := io.ReadFull(src, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTraceMagic, err)
-	}
-	if string(magic[:]) != traceMagic {
-		return nil, fmt.Errorf("%w: got %q", ErrTraceMagic, magic[:])
-	}
-	version, err := binary.ReadUvarint(src)
-	if err != nil {
 		return nil, t.corrupt("truncated version")
 	}
 	if version != TraceVersion {
@@ -247,68 +258,179 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	return t, nil
 }
 
+// fill makes at least n undecoded bytes available in buf[off:], reading
+// from the source as needed, and reports whether it could (false once the
+// source ends or fails first). Undecoded bytes — and a pinned table — move
+// to the front of the window; the window grows only when n (or the pinned
+// table) outgrows it, so its size is bounded by bytes actually read.
+func (t *TraceReader) fill(n int) bool {
+	for empty := 0; len(t.buf)-t.off < n; {
+		if t.rerr != nil {
+			return false
+		}
+		keep := t.off
+		if t.pin >= 0 {
+			keep = t.pin
+			t.pin = 0
+		}
+		if keep > 0 {
+			t.buf = t.buf[:copy(t.buf, t.buf[keep:])]
+			t.off -= keep
+		}
+		if need := t.off + n; need > cap(t.buf) {
+			grown := make([]byte, len(t.buf), max(need, 2*cap(t.buf)))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
+		m, err := t.src.Read(t.buf[len(t.buf):cap(t.buf)])
+		t.buf = t.buf[:len(t.buf)+m]
+		switch {
+		case err != nil:
+			t.rerr = err
+		case m > 0:
+			empty = 0
+		default:
+			// A source returning nothing and no error (io.Reader allows
+			// it) gets bufio's patience before it counts as stuck.
+			if empty++; empty >= 100 {
+				t.rerr = io.ErrNoProgress
+			}
+		}
+	}
+	return true
+}
+
+// uvarint decodes one unsigned varint off the window.
+func (t *TraceReader) uvarint() (uint64, bool) {
+	if i := t.off; i < len(t.buf) && t.buf[i] < 0x80 {
+		t.off = i + 1
+		return uint64(t.buf[i]), true
+	}
+	return t.uvarintSlow()
+}
+
+// uvarintSlow is uvarint's multi-byte and refill path. A varint the input
+// ends inside, or one that overflows 64 bits, fails.
+func (t *TraceReader) uvarintSlow() (uint64, bool) {
+	if len(t.buf)-t.off < binary.MaxVarintLen64 {
+		t.fill(binary.MaxVarintLen64)
+	}
+	v, n := binary.Uvarint(t.buf[t.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	t.off += n
+	return v, true
+}
+
+// varint decodes one zigzag-encoded signed varint off the window.
+func (t *TraceReader) varint() (int64, bool) {
+	ux, ok := t.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, ok
+}
+
+// readByte decodes one raw byte.
+func (t *TraceReader) readByte() (byte, bool) {
+	if t.off >= len(t.buf) && !t.fill(1) {
+		return 0, false
+	}
+	b := t.buf[t.off]
+	t.off++
+	return b, true
+}
+
+// skipStr steps over one length-prefixed string, bounded by maxStringLen,
+// and returns its bytes (valid until the next refill).
+func (t *TraceReader) skipStr() ([]byte, bool) {
+	n, ok := t.uvarint()
+	if !ok || n > maxStringLen || !t.fill(int(n)) {
+		return nil, false
+	}
+	b := t.buf[t.off : t.off+int(n)]
+	t.off += int(n)
+	return b, true
+}
+
+// readStr decodes one length-prefixed string.
+func (t *TraceReader) readStr() (string, bool) {
+	b, ok := t.skipStr()
+	return string(b), ok
+}
+
 // readHeader decodes meta and the interning tables.
 func (t *TraceReader) readHeader() error {
-	var err error
-	if t.meta.Workload, err = t.readStr(); err != nil {
+	var ok bool
+	if t.meta.Workload, ok = t.readStr(); !ok {
 		return t.corrupt("workload name")
 	}
-	if t.meta.Tool, err = t.readStr(); err != nil {
+	if t.meta.Tool, ok = t.readStr(); !ok {
 		return t.corrupt("tool name")
 	}
-	window, err := binary.ReadUvarint(t.r)
-	if err != nil || window > maxTableEntries {
+	window, ok := t.uvarint()
+	if !ok || window > maxTableEntries {
 		return t.corrupt("spin window")
 	}
 	t.meta.Window = int(window)
-	if t.meta.Seed, err = binary.ReadVarint(t.r); err != nil {
+	if t.meta.Seed, ok = t.varint(); !ok {
 		return t.corrupt("seed")
 	}
-	nsyms, err := binary.ReadUvarint(t.r)
-	if err != nil || nsyms > maxTableEntries {
+	nsyms, ok := t.uvarint()
+	if !ok || nsyms > maxTableEntries {
 		return t.corrupt("symbol table size")
 	}
 	t.syms = make([]string, nsyms)
-	for i := range t.syms {
-		if t.syms[i], err = t.readStr(); err != nil {
-			return t.corrupt("symbol table")
-		}
+	if err := t.readTable(len(t.syms), nil, func(i int, s string) { t.syms[i] = s }); err != nil {
+		return err
 	}
-	nlocs, err := binary.ReadUvarint(t.r)
-	if err != nil || nlocs > maxTableEntries {
+	nlocs, ok := t.uvarint()
+	if !ok || nlocs > maxTableEntries {
 		return t.corrupt("location table size")
 	}
 	t.locs = make([]ir.Loc, nlocs)
-	for i := range t.locs {
-		if t.locs[i].File, err = t.readStr(); err != nil {
-			return t.corrupt("location table")
-		}
-		line, err := binary.ReadUvarint(t.r)
-		if err != nil || line > maxTableEntries {
-			return t.corrupt("location line")
-		}
-		t.locs[i].Line = int(line)
-	}
-	return nil
+	return t.readTable(len(t.locs), t.locs, func(i int, s string) { t.locs[i].File = s })
 }
 
-// readStr decodes one length-prefixed string, bounded by maxStringLen.
-func (t *TraceReader) readStr() (string, error) {
-	n, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return "", err
+// readTable decodes a header table of n entries: a length-prefixed string
+// each, followed by a line number in the location table (locs non-nil,
+// whose Lines it fills). The table's bytes stay pinned in the window while
+// every entry is validated, then convert to one string; set receives each
+// entry's string as a substring of it — one allocation per table, not one
+// per symbol or location.
+func (t *TraceReader) readTable(n int, locs []ir.Loc, set func(i int, s string)) error {
+	t.pin = t.off
+	defer func() { t.pin = -1 }()
+	for i := 0; i < n; i++ {
+		if _, ok := t.skipStr(); !ok {
+			if locs != nil {
+				return t.corrupt("location table")
+			}
+			return t.corrupt("symbol table")
+		}
+		if locs != nil {
+			line, ok := t.uvarint()
+			if !ok || line > maxTableEntries {
+				return t.corrupt("location line")
+			}
+			locs[i].Line = int(line)
+		}
 	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("string of %d bytes exceeds limit", n)
+	raw := t.buf[t.pin:t.off]
+	all := string(raw)
+	for i, p := 0, 0; i < n; i++ {
+		l, k := binary.Uvarint(raw[p:])
+		p += k
+		set(i, all[p:p+int(l)])
+		p += int(l)
+		if locs != nil {
+			_, k = binary.Uvarint(raw[p:])
+			p += k
+		}
 	}
-	if n == 0 {
-		return "", nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(t.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return nil
 }
 
 // corrupt wraps ErrTraceCorrupt with position detail.
@@ -361,13 +483,13 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 	if t.done {
 		return false, nil
 	}
-	tag, err := binary.ReadUvarint(t.r)
-	if err != nil {
+	tag, ok := t.uvarint()
+	if !ok {
 		return false, t.corrupt("truncated event stream")
 	}
 	if tag == 0 {
-		n, err := binary.ReadUvarint(t.r)
-		if err != nil {
+		n, ok := t.uvarint()
+		if !ok {
 			return false, t.corrupt("truncated end marker")
 		}
 		if n != t.count {
@@ -381,8 +503,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 		return false, t.corrupt(fmt.Sprintf("unknown event kind %d", tag-1))
 	}
 	*ev = Event{Kind: kind}
-	tid, err := binary.ReadUvarint(t.r)
-	if err != nil || tid > maxTid {
+	tid, ok := t.uvarint()
+	if !ok || tid > maxTid {
 		return false, t.corrupt("thread id")
 	}
 	ev.Tid = Tid(tid)
@@ -396,8 +518,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 			return false, err
 		}
 	case kind == KindSpawn || kind == KindJoin:
-		child, err := binary.ReadUvarint(t.r)
-		if err != nil || child > maxTid {
+		child, ok := t.uvarint()
+		if !ok || child > maxTid {
 			return false, t.corrupt("child thread id")
 		}
 		ev.Child = Tid(child)
@@ -406,8 +528,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 			return false, err
 		}
 	case kind == KindSpinExit:
-		loop, err := binary.ReadUvarint(t.r)
-		if err != nil || loop > maxTableEntries {
+		loop, ok := t.uvarint()
+		if !ok || loop > maxTableEntries {
 			return false, t.corrupt("spin loop id")
 		}
 		ev.SpinLoop = int32(loop)
@@ -418,26 +540,26 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 
 // readAccess decodes the access-kind payload.
 func (t *TraceReader) readAccess(ev *Event) error {
-	var err error
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	var ok bool
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("access addr")
 	}
-	if ev.Value, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Value, ok = t.varint(); !ok {
 		return t.corrupt("access value")
 	}
-	sym, err := binary.ReadUvarint(t.r)
-	if err != nil || sym >= uint64(len(t.syms)) {
+	sym, ok := t.uvarint()
+	if !ok || sym >= uint64(len(t.syms)) {
 		return t.corrupt("access sym id")
 	}
 	ev.Sym = ir.SymID(sym)
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("access loc id")
 	}
 	ev.Loc = ir.LocID(loc)
 	if ev.Kind == KindAtomicWrite {
-		rmw, err := t.r.ReadByte()
-		if err != nil || rmw > 1 {
+		rmw, ok := t.readByte()
+		if !ok || rmw > 1 {
 			return t.corrupt("rmw flag")
 		}
 		ev.RMW = rmw == 1
@@ -447,19 +569,19 @@ func (t *TraceReader) readAccess(ev *Event) error {
 
 // readSync decodes the sync pre/post payload.
 func (t *TraceReader) readSync(ev *Event) error {
-	sk, err := binary.ReadUvarint(t.r)
-	if err != nil || sk > 255 {
+	sk, ok := t.uvarint()
+	if !ok || sk > 255 {
 		return t.corrupt("sync kind")
 	}
 	ev.Sync = ir.SyncKind(sk)
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("sync addr")
 	}
-	if ev.Addr2, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr2, ok = t.varint(); !ok {
 		return t.corrupt("sync addr2")
 	}
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("sync loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -468,19 +590,19 @@ func (t *TraceReader) readSync(ev *Event) error {
 
 // readSpinRead decodes the spin-read payload.
 func (t *TraceReader) readSpinRead(ev *Event) error {
-	loop, err := binary.ReadUvarint(t.r)
-	if err != nil || loop > maxTableEntries {
+	loop, ok := t.uvarint()
+	if !ok || loop > maxTableEntries {
 		return t.corrupt("spin loop id")
 	}
 	ev.SpinLoop = int32(loop)
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("spin addr")
 	}
-	if ev.Value, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Value, ok = t.varint(); !ok {
 		return t.corrupt("spin value")
 	}
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("spin loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -508,23 +630,4 @@ func (t *TraceReader) Replay(s Sink) (int64, error) {
 		f.Flush()
 	}
 	return int64(t.count - start), nil
-}
-
-// byteSourceReader adapts a plain io.Reader to byteSource with a one-byte
-// scratch — traces normally arrive as bytes.Reader or bufio.Reader, which
-// already qualify; this keeps exotic readers working (if slowly).
-type byteSourceReader struct {
-	r io.Reader
-	b [1]byte
-}
-
-func newByteSourceReader(r io.Reader) *byteSourceReader { return &byteSourceReader{r: r} }
-
-func (b *byteSourceReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteSourceReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.b[:]); err != nil {
-		return 0, err
-	}
-	return b.b[0], nil
 }

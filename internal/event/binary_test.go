@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"adhocrace/internal/ir"
 )
@@ -254,7 +255,9 @@ func TestTraceReaderZeroAlloc(t *testing.T) {
 
 // FuzzTraceDecode drives the decoder with arbitrary bytes: it must reject
 // or cleanly decode every input — no panics, no unbounded allocation —
-// and on valid traces the decoded count must match the reader's tally.
+// the decoded count must match the reader's tally, and a one-byte-per-read
+// source must decode exactly like the in-memory one (decodeAll,
+// reader_test.go).
 func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ADRT"))
@@ -273,24 +276,15 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(valid(13)[:20])
 	f.Add(valid(13)[:40])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return
+		want := decodeAll(bytes.NewReader(data))
+		if int64(len(want.Events)) != want.Count {
+			t.Fatalf("decoded %d events, reader counted %d", len(want.Events), want.Count)
 		}
-		var ev Event
-		n := int64(0)
-		for {
-			ok, err := tr.Next(&ev)
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n != tr.Count() {
-			t.Fatalf("decoded %d events, reader counted %d", n, tr.Count())
+		// The same bytes one per read must decode identically: the
+		// reader's refills are invisible in what it returns.
+		if got := decodeAll(iotest.OneByteReader(bytes.NewReader(data))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("OneByteReader decodes differently: header %v/%v, stream %v/%v, %d/%d events",
+				got.HeaderErr, want.HeaderErr, got.StreamErr, want.StreamErr, len(got.Events), len(want.Events))
 		}
 	})
 }

@@ -354,6 +354,15 @@ type Global struct {
 }
 
 // Program is a complete translation unit: functions plus global layout.
+//
+// A program is immutable once built: Builder.Build is the last writer of
+// its functions, blocks, instructions and globals. Everything derived from
+// it by static analysis — the interning table (Interning) and the memoized
+// analyses (Derived: spin instrumentation, vm decodes) — is computed once
+// and shared by every later run, concurrent ones included, so editing a
+// program after its first analysis would leave those results describing a
+// different program. Callers that need a variant rebuild it (the synth
+// shrinker reassembles each candidate from fragments).
 type Program struct {
 	Name    string
 	Funcs   []*Func
@@ -367,6 +376,11 @@ type Program struct {
 	// concurrent runs that share a prepared program.
 	internOnce sync.Once
 	interned   *Interning
+
+	// derived memoizes the static analyses of Derived (see derived.go);
+	// derivedMu guards the map, each entry's once its build.
+	derivedMu sync.Mutex
+	derived   map[any]*derivedEntry
 }
 
 // FuncByName returns the function with the given name, or nil.

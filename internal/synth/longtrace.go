@@ -135,7 +135,8 @@ func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	o = o.withDefaults()
 	prog := buildLongTraceProgram(o)
-	ins := o.Cfg.Instrument(prog)
+	prep := detect.Prepare(prog)
+	ins, dec := prep.Instrument(o.Cfg), prep.Decoded(o.Cfg)
 	d := detect.NewSharded(o.Cfg, ins, prog, o.Opts.Shards)
 	defer d.Close()
 	if o.Opts.GCShadow {
@@ -146,6 +147,7 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 			Seed:             seed + int64(w),
 			KnownLibs:        o.Cfg.KnownLibs,
 			Instr:            ins,
+			Decoded:          dec,
 			Sink:             d,
 			SegmentEvents:    o.Opts.SegmentEvents,
 			AdaptiveSegments: o.Opts.AdaptiveSegments,

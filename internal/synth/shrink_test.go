@@ -28,7 +28,8 @@ func findInjected(t *testing.T, d *Differ) Disagreement {
 }
 
 // TestShrinkInjectedDisagreement: an injected disagreement shrinks to a
-// single-fragment reproducer that still disagrees, and the emitted Go
+// single-fragment reproducer that still disagrees, without editing the
+// original workload's program, and the emitted Go
 // source is compilable (parses and formats cleanly) and round-trips the
 // fragment list.
 func TestShrinkInjectedDisagreement(t *testing.T) {
@@ -38,9 +39,20 @@ func TestShrinkInjectedDisagreement(t *testing.T) {
 	if len(w.Frags) < 2 {
 		t.Skipf("seed %d generated a single fragment; nothing to shrink", dis.Seed)
 	}
+	// Analyze and run the original first: the shrinker must rebuild every
+	// candidate rather than edit a program (ir.Program is immutable once
+	// built; its memoized analyses would go stale), so the original's
+	// disassembly is the same afterwards.
+	if _, err := d.runPreset(func() *Workload { return w }, dis.Preset); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Prog.Disassemble()
 	min, err := d.Shrink(w, dis)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if w.Prog.Disassemble() != before {
+		t.Fatal("Shrink mutated the workload's program")
 	}
 	if len(min.Frags) != 1 {
 		t.Fatalf("shrink left %d fragments, want 1: %v", len(min.Frags), min.Frags)

@@ -31,7 +31,8 @@ import (
 
 // Decoded is the dense executable form of a program under one
 // instrumentation. It is immutable after Decode and safe to share across
-// concurrent runs (detect.Prepared memoizes one per spin window).
+// concurrent runs (package detect memoizes one per program and spin
+// window on the program, ir.Program.Derived).
 type Decoded struct {
 	prog  *ir.Program
 	ins   *spin.Instrumentation

@@ -12,11 +12,12 @@
 #     | sed 's/\\n/\n/g; s/\\t/\t/g' | grep -E '^(Benchmark|goos|goarch|pkg|cpu)'
 #
 # Usage: [GO=go1.x] bench-save.sh [bench-regexp]
-# Default records the accuracy-table smoke AND the replay scaling
-# benchmark in one `go test` run, so every BENCH record carries both the
-# table trajectory and the events/sec curve.
+# Default records the accuracy-table smoke, the replay scaling benchmark
+# and the decode-only trace benchmark in one `go test` run, so every BENCH
+# record carries the table trajectory, the events/sec curve and the trace
+# decoder's ns/event.
 set -eu
-bench="${1:-BenchmarkTable1\$|BenchmarkReplayEventsPerSec}"
+bench="${1:-BenchmarkTable1\$|BenchmarkReplayEventsPerSec|BenchmarkTraceDecode\$}"
 # One record per run: same-day reruns get a letter suffix instead of
 # clobbering the day's earlier record (suffixes sort after the plain name,
 # so `ls | sort` stays chronological for bench-compare.sh).
