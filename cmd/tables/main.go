@@ -212,6 +212,11 @@ func replayScaling(path string) error {
 		return fmt.Errorf("trace tool: %w", err)
 	}
 	prog := build()
+	// Analyze the program before the timed loop: the first ReplayTrace
+	// would otherwise pay for the spin analysis that later rows find
+	// memoized on the program, and the speedup column would count it.
+	prog.Interning()
+	cfg.Instrument(prog)
 	fmt.Printf("Replay scaling — %s under %s (recorded seed %d), GOMAXPROCS=%d\n",
 		meta.Workload, cfg.Name, meta.Seed, runtime.GOMAXPROCS(0))
 	fmt.Printf("%-10s %14s %14s %14s %10s\n", "shards", "events", "elapsed", "events/sec", "speedup")

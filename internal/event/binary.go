@@ -208,6 +208,13 @@ func (t *TraceWriter) Close() error {
 // fast path) — no per-byte interface call into the source. A header table
 // is pinned in the window while it is validated so its strings can be
 // converted in one piece (readTable).
+//
+// Because it reads ahead, the reader may consume bytes of the source that
+// follow the trace's end marker; they are lost to the caller. Give it a
+// source that holds the trace alone (ends after it), such as a
+// bytes.Reader or a file. On a live stream it never blocks for more bytes
+// than the record it is decoding needs, so every event is returned as soon
+// as its last byte arrives.
 type TraceReader struct {
 	src   io.Reader
 	buf   []byte
@@ -310,17 +317,20 @@ func (t *TraceReader) uvarint() (uint64, bool) {
 }
 
 // uvarintSlow is uvarint's multi-byte and refill path. A varint the input
-// ends inside, or one that overflows 64 bits, fails.
+// ends inside, or one that overflows 64 bits, fails. It refills only while
+// the window holds no complete varint, asking for one more byte each time,
+// so it never waits on the source for bytes past the varint's last one.
 func (t *TraceReader) uvarintSlow() (uint64, bool) {
-	if len(t.buf)-t.off < binary.MaxVarintLen64 {
-		t.fill(binary.MaxVarintLen64)
+	for {
+		v, n := binary.Uvarint(t.buf[t.off:])
+		if n > 0 {
+			t.off += n
+			return v, true
+		}
+		if n < 0 || !t.fill(len(t.buf)-t.off+1) {
+			return 0, false
+		}
 	}
-	v, n := binary.Uvarint(t.buf[t.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	t.off += n
-	return v, true
 }
 
 // varint decodes one zigzag-encoded signed varint off the window.

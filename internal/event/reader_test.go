@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"adhocrace/internal/ir"
 )
@@ -202,5 +203,35 @@ func TestNewTraceReaderAllocsFlat(t *testing.T) {
 	small, large := headerAllocs(4, 4), headerAllocs(1000, 1000)
 	if small != large {
 		t.Fatalf("NewTraceReader allocates %.0f for a 4-entry header but %.0f for a 1,000-entry one", small, large)
+	}
+}
+
+// TestTraceReaderLiveStream decodes a trace from a pipe whose writer stays
+// open after the last byte: the reader must reach the end marker without
+// waiting for more input (it never asks the source for bytes past the
+// varint it is decoding), so a live recording's events are not held back
+// until the writer closes.
+func TestTraceReaderLiveStream(t *testing.T) {
+	evs := testEvents(240)
+	data := encodeTrace(t, TraceMeta{Workload: "wl", Tool: "spin", Window: 7}, testTable(), evs)
+	pr, pw := io.Pipe()
+	release := make(chan struct{})
+	go func() {
+		pw.Write(data)
+		<-release
+		pw.Close()
+	}()
+	defer close(release)
+	done := make(chan decodeOutcome, 1)
+	go func() { done <- decodeAll(pr) }()
+	select {
+	case out := <-done:
+		if !out.Clean || !reflect.DeepEqual(out.Events, evs) || out.Count != int64(len(evs)) {
+			t.Fatalf("live stream: clean=%v, %d events (want %d), header %v, stream %v",
+				out.Clean, len(out.Events), len(evs), out.HeaderErr, out.StreamErr)
+		}
+	case <-time.After(10 * time.Second):
+		pw.CloseWithError(errors.New("timed out"))
+		t.Fatal("decoding stalled waiting for bytes past the end of the trace")
 	}
 }

@@ -295,3 +295,34 @@ func TestDrainGraceful(t *testing.T) {
 	conn.Close()
 	checkLeaks()
 }
+
+// TestHangupAfterLastResultCountsCompleted: a client that closes the
+// connection the moment it reads the last result has its session counted
+// completed, never disconnected — the hang-up can reach the server before
+// the handler records the outcome.
+func TestHangupAfterLastResultCountsCompleted(t *testing.T) {
+	checkLeaks := leakCheck(t)
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2, OutboxFrames: 4})
+	const sessions = 40
+	for i := 0; i < sessions; i++ {
+		conn := ln.dial(t)
+		s := openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: 1})
+		for {
+			fr := s.next(t)
+			if fr.Type == serve.FrameError {
+				t.Fatalf("session %d: error frame %+v", i, fr.Err)
+			}
+			if fr.Type == serve.FrameResult && fr.Result.Last {
+				break
+			}
+		}
+		conn.Close()
+	}
+	waitFor(t, "sessions gone", func() bool { return srv.ActiveSessions() == 0 })
+	if snap := srv.Snapshot(); snap.SessionsCompleted != sessions || snap.SessionsDisconnected != 0 {
+		t.Errorf("completed %d, disconnected %d; want %d and 0",
+			snap.SessionsCompleted, snap.SessionsDisconnected, sessions)
+	}
+	srv.Drain()
+	checkLeaks()
+}

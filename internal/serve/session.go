@@ -46,7 +46,7 @@ import (
 const (
 	statePending int32 = iota // registered, waiting for admission
 	stateRunning              // admitted, run in progress
-	stateDone                 // run finished; teardown in progress
+	stateDone                 // last result queued or run over; teardown follows
 )
 
 // outFrame is one queued server-to-client frame.
@@ -284,7 +284,15 @@ func (ss *session) run() {
 		}
 		ss.srv.metrics.stats.Observe(rep)
 		ss.runsDone.Add(1)
-		if !ss.send(FrameResult, runResult(run, seed, rep, res, run == ss.req.Repeat-1)) {
+		last := run == ss.req.Repeat-1
+		if last {
+			// Every run is done. A client may hang up as soon as it reads
+			// the last result, before the handler records the outcome:
+			// from here on readWatch must not count that as a disconnect,
+			// nor may admission pick this session as an eviction victim.
+			ss.state.Store(stateDone)
+		}
+		if !ss.send(FrameResult, runResult(run, seed, rep, res, last)) {
 			ss.setFinal(ss.cancelCode(), "session canceled")
 			return
 		}
