@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-compare bench-scaling scaling-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
+.PHONY: all build test race bench bench-compare replay-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
 
 all: build
 
@@ -24,8 +24,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bench smoke: the slide-24 accuracy table plus the replay events/sec
-# scaling benchmark (shards 1/2/4/8 over one recorded stream), in one
+# Bench smoke: the slide-24 accuracy table, the replay events/sec
+# benchmark over one recorded stream and the trace decoder, in one
 # `go test` run recorded as BENCH_<date>.json (a `go test -json` stream;
 # benchstat-recoverable, see scripts/bench-save.sh) so the perf
 # trajectory is tracked commit over commit. Run
@@ -38,26 +38,20 @@ bench:
 bench-compare:
 	sh scripts/bench-compare.sh $(OLD) $(NEW)
 
-# Events/sec scaling harness: record a trace, replay it at shards 1/2/4/8
-# (byte-identical reports asserted), and save the replay benchmark as a
-# BENCH record. See scripts/bench-scaling.sh.
-bench-scaling:
-	GO=$(GO) sh scripts/bench-scaling.sh
-
-# Record/replay determinism gate: a tiny trace replayed at shards 1 and 2
-# must produce byte-identical reports (fingerprint equality).
-scaling-smoke:
-	GO=$(GO) sh scripts/scaling-smoke.sh
+# Record/replay round-trip gate: a workload recorded with racedetect
+# -record must replay to the live run's report (fingerprint equality).
+replay-smoke:
+	GO=$(GO) sh scripts/replay-smoke.sh
 
 # Differential fuzz smoke: a bounded, fixed-seed corpus (200 generated
-# programs, all tool presets, 2-shard detectors) scored against the
+# programs, all tool presets) scored against the
 # synthesis engine's ground-truth oracle; fails on any oracle-vs-spin
 # disagreement — plus 10s of coverage-guided fuzzing over the binary
 # trace decoder (no panics, bounded allocation on corrupt headers). See
 # cmd/racefuzz and docs/ARCHITECTURE.md.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/event/
-	$(GO) run ./cmd/racefuzz -n 200 -shards 2 -strict
+	$(GO) run ./cmd/racefuzz -n 200 -strict
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -96,8 +90,8 @@ memory-smoke:
 	$(GO) test -count=1 -run 'TestLongTraceFlatMemory|TestLongTraceGCEquivalence' ./internal/synth/
 	$(GO) test -count=1 -run 'TestServerSoakMemoryBaseline' ./internal/serve/
 
-# Server conformance: byte-identical streamed reports vs direct detect.Run
-# over the accuracy suite + synthesis corpus, swept over shards × overlap.
+# Server conformance: byte-identical streamed reports vs direct runs over
+# the accuracy suite + synthesis corpus, swept over the overlap modes.
 # (`make test`/`make race` include it; this target is the labeled CI step.)
 conformance:
 	$(GO) test -count=1 -run 'TestServerConformance' ./internal/serve/
@@ -119,16 +113,16 @@ fuzz-proto:
 
 # Observability smoke: run a suite workload with -trace and validate the
 # emitted Chrome trace-event JSON carries one span per pipeline stage
-# (vm, segment pipeline, demux, shards, merge, GC). See scripts/trace-smoke.sh.
+# (vm, segment pipeline, merge, GC). See scripts/trace-smoke.sh.
 trace-smoke:
 	GO=$(GO) sh scripts/trace-smoke.sh
 
 # Everything CI runs, in CI's order. (The workflow additionally runs the
-# shard determinism tests, the representation equivalence suite — the
-# epoch-read and clock-store references, under -race — and the server
-# conformance suite as named steps before the race suite, purely so those
-# breaks fail with their own labels; `race` covers them.)
-ci: fmt-check vet doc-check static build conformance chaos-smoke race soak-smoke memory-smoke trace-smoke scaling-smoke bench fuzz-proto fuzz-smoke
+# representation equivalence suite — the epoch-read and clock-store
+# references, under -race — and the server conformance suite as named
+# steps before the race suite, purely so those breaks fail with their own
+# labels; `race` covers them.)
+ci: fmt-check vet doc-check static build conformance chaos-smoke race soak-smoke memory-smoke trace-smoke replay-smoke bench fuzz-proto fuzz-smoke
 
 # Regenerate the paper's tables and figures.
 tables:

@@ -112,12 +112,12 @@ func BenchmarkFigureMemory(b *testing.B) {
 func BenchmarkFigureRuntime(b *testing.B) {
 	for _, m := range parsec.Models() {
 		m := m
-		prog := m.Build()
+		prep := detect.PrepareBuild(m.Build)
 		b.Run(m.Name+"/lib", func(b *testing.B) {
 			cfg := detect.HelgrindPlusLib()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(prog, cfg, 1); err != nil {
+				if _, _, err := prep.Run(cfg, 1, detect.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,7 +126,7 @@ func BenchmarkFigureRuntime(b *testing.B) {
 			cfg := detect.HelgrindPlusLibSpin(7)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(prog, cfg, 1); err != nil {
+				if _, _, err := prep.Run(cfg, 1, detect.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -141,13 +141,13 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	if !ok {
 		b.Fatal("no ferret model")
 	}
-	prog := m.Build()
+	prep := detect.PrepareBuild(m.Build)
 	for _, cfg := range detect.PaperTools(7) {
 		cfg := cfg
 		b.Run(cfg.Name, func(b *testing.B) {
 			var events int64
 			for i := 0; i < b.N; i++ {
-				rep, _, err := detect.Run(prog, cfg, 1)
+				rep, _, err := prep.Run(cfg, 1, detect.RunOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,14 +158,11 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorSharded measures intra-run detector sharding: the same
-// recorded event stream replayed through detectors with 1, 2, 4, and 8
-// shard workers. Recording once and replaying isolates detection
-// throughput from the (serial) vm that produces the stream; compare
-// ns/op of shards-N against shards-1 of the same model/tool pair to read
-// off the sharding speedup. Every variant's report is asserted identical
-// to the single-threaded one before timing starts.
-func BenchmarkDetectorSharded(b *testing.B) {
+// BenchmarkDetectorReplay measures detection alone, per model and tool:
+// each model's event stream is recorded once in memory and replayed into a
+// fresh detector per iteration, so the serial vm that produced the stream
+// stays outside the timed loop (BenchmarkDetectorThroughput includes it).
+func BenchmarkDetectorReplay(b *testing.B) {
 	cases := []struct {
 		model string
 		tool  string
@@ -189,27 +186,14 @@ func BenchmarkDetectorSharded(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		replay := func(shards int) *detect.Report {
-			d := detect.NewSharded(tc.cfg, ins, prog, shards)
-			defer d.Close()
-			trace.Replay(d)
-			return d.Report()
-		}
-		base := replay(1)
-		for _, shards := range []int{1, 2, 4, 8} {
-			shards := shards
-			b.Run(fmt.Sprintf("%s/%s/shards-%d", tc.model, tc.tool, shards), func(b *testing.B) {
-				if got := replay(shards); got.RacyContexts() != base.RacyContexts() ||
-					len(got.Warnings) != len(base.Warnings) || got.ShadowBytes != base.ShadowBytes {
-					b.Fatalf("%d-shard report differs from single-threaded", shards)
-				}
-				b.ReportMetric(float64(len(trace.Events)), "events/run")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					replay(shards)
-				}
-			})
-		}
+		b.Run(tc.model+"/"+tc.tool, func(b *testing.B) {
+			b.ReportMetric(float64(len(trace.Events)), "events/run")
+			for i := 0; i < b.N; i++ {
+				d := detect.New(tc.cfg, ins, prog)
+				trace.Replay(d)
+				d.Report()
+			}
+		})
 	}
 }
 
@@ -249,33 +233,27 @@ func replayFixture(b *testing.B) ([]byte, *ir.Program, detect.Config) {
 	return replayFixtureBuf, replayFixtureProg, replayFixtureCfg
 }
 
-// BenchmarkReplayEventsPerSec is the scaling harness's benchmark form:
-// the same recorded stream decoded and pushed through detectors at 1, 2,
-// 4, and 8 shard workers, with throughput reported as events/sec. No vm
-// runs inside the timed loop — this isolates trace decode + detection,
-// the replay hot path. scripts/bench-scaling.sh records these results as
-// a BENCH_*.json record; bench-compare.sh gates on their ns/op.
+// BenchmarkReplayEventsPerSec decodes one recorded stream and pushes it
+// through a fresh detector per iteration, with throughput reported as
+// events/sec. No vm runs inside the timed loop — this isolates trace
+// decode + detection, the replay hot path. scripts/bench-save.sh records
+// it in every BENCH_*.json record; bench-compare.sh gates on its ns/op.
 func BenchmarkReplayEventsPerSec(b *testing.B) {
 	data, prog, cfg := replayFixture(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				tr, err := event.NewTraceReader(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = n
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		tr, err := event.NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = n
 	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkTraceDecode measures the binary trace decoder alone: Next

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-shards N] [-overlap] [-overlap-adaptive] [-v]
+//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-overlap] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
-//	racedetect -replay in.trace [-shards N] [-fingerprint]
+//	racedetect -replay in.trace [-gc-shadow] [-fingerprint]
 //
 // Workloads: any PARSEC model name (x264, dedup, ...), a data-race-test
 // case name (adhoc_spin11_b7_atomic_long, ww_two_threads, ...), or a
@@ -17,12 +17,9 @@
 // parallel experiment engine (one isolated program + detector per seed)
 // and the per-seed racy-context counts are reported in seed order.
 //
-// With -shards N each detector run partitions its shadow state across N
-// shard workers (intra-run parallelism). With -overlap the vm emits the
-// event stream into double-buffered trace segments consumed by the
-// detector concurrently with execution; -overlap-adaptive sizes those
-// segments from observed pipeline stalls. Reports are byte-identical
-// under every combination of the knobs; only wall-clock time changes.
+// With -overlap the vm emits the event stream into double-buffered trace
+// segments consumed by the detector concurrently with execution. Reports
+// are byte-identical with or without it; only wall-clock time changes.
 //
 // With -stats the run's pipeline counters are printed: events processed,
 // events/sec, shadow bytes, read-set promotions/demotions (how often the
@@ -32,8 +29,7 @@
 // timing histograms from the observability layer (internal/obs).
 //
 // With -trace out.json the run records per-stage spans — vm quanta,
-// segment pipeline batches and stalls, demux dispatches, shard applies,
-// GC cycles, report merge — and writes Chrome trace-event JSON loadable
+// segment pipeline batches and stalls, GC cycles, report merge — and writes Chrome trace-event JSON loadable
 // in chrome://tracing or Perfetto. -gc-events shortens the shadow-GC
 // cycle period (with -gc-shadow) so short workloads exercise GC cycles
 // too.
@@ -42,11 +38,11 @@
 // stream is written as a binary trace (internal/event's record/replay
 // format, with the workload/tool/seed provenance and interning tables in
 // the header). With -replay a recorded trace is fed straight into a
-// detector — no vm in the loop — honoring -shards/-gc-shadow; the
-// workload and tool come from the trace header, and the report is
-// byte-identical to the live run's. -fingerprint appends a fingerprint=
-// line (a digest of the full report) so scripts can compare runs cheaply
-// — the scaling smoke asserts shards-1 and shards-2 replays match.
+// detector — no vm in the loop — honoring -gc-shadow; the workload and
+// tool come from the trace header, and the report is byte-identical to the
+// live run's. -fingerprint appends a fingerprint= line (a digest of the
+// full report) so scripts can compare runs cheaply — the replay smoke
+// asserts a live run and the replay of its recording match.
 package main
 
 import (
@@ -73,9 +69,7 @@ func main() {
 	window := flag.Int("window", 7, "spin-loop basic-block window")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	seeds := flag.Int("seeds", 0, "run seeds 1..N in parallel and report per-seed contexts")
-	shards := flag.Int("shards", 1, "detector shard workers per run (1 = single-threaded)")
 	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
-	adaptive := flag.Bool("overlap-adaptive", false, "size overlap segments adaptively from pipeline stalls (implies -overlap)")
 	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during the run (bounded memory, identical warnings)")
 	gcEvents := flag.Int64("gc-events", 0, "shadow-GC cycle period in events (0 = default; needs -gc-shadow)")
 	stats := flag.Bool("stats", false, "print pipeline stats: events, events/sec, shadow bytes, read-set promotions")
@@ -92,7 +86,7 @@ func main() {
 		return
 	}
 	if *replayPath != "" {
-		if err := runReplay(*replayPath, *shards, *gcShadow, *gcEvents, *fingerprint, *verbose); err != nil {
+		if err := runReplay(*replayPath, *gcShadow, *gcEvents, *fingerprint, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 			os.Exit(1)
 		}
@@ -118,13 +112,9 @@ func main() {
 		return
 	}
 
-	opts := detect.RunOpts{Shards: *shards, GCShadow: *gcShadow, GCEvents: *gcEvents}
-	if *adaptive {
-		*overlap = true // adaptive sizing is a property of the overlap pipeline
-	}
+	opts := detect.RunOpts{GCShadow: *gcShadow, GCEvents: *gcEvents}
 	if *overlap {
 		opts = opts.Overlapped()
-		opts.AdaptiveSegments = *adaptive
 	}
 
 	// -trace wants spans; -stats alone wants only counters/histograms.
@@ -152,7 +142,7 @@ func main() {
 
 	opts.Obs = rec.Pipeline(fmt.Sprintf("%s %s seed=%d", *workload, cfg.Name, *seed))
 	start := time.Now()
-	rep, res, err := detect.RunOpt(build(), cfg, *seed, opts)
+	rep, res, err := detect.PrepareBuild(build).Run(cfg, *seed, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
@@ -168,10 +158,6 @@ func main() {
 	}
 	if *stats {
 		printStats([]*detect.Report{rep}, elapsed)
-		if *overlap {
-			fmt.Printf("stats: segment sizing: %d stalls, %d grows, %d shrinks, final size %d\n",
-				res.SegmentStalls, res.SegmentGrows, res.SegmentShrinks, res.SegmentSize)
-		}
 		fmt.Print(rec.Summary())
 	}
 	writeTrace(rec, *trace)
@@ -218,9 +204,8 @@ func runRecord(path string, build func() *ir.Program, workload string,
 }
 
 // runReplay feeds a recorded trace into a fresh detector with no vm: the
-// workload and tool configuration are rebuilt from the trace header, and
-// the detector runs at the requested shard count.
-func runReplay(path string, shards int, gcShadow bool, gcEvents int64, fingerprint, verbose bool) error {
+// workload and tool configuration are rebuilt from the trace header.
+func runReplay(path string, gcShadow bool, gcEvents int64, fingerprint, verbose bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -239,15 +224,13 @@ func runReplay(path string, shards int, gcShadow bool, gcEvents int64, fingerpri
 		return fmt.Errorf("trace tool: %w", err)
 	}
 	start := time.Now()
-	rep, n, err := detect.ReplayTrace(tr, build(), cfg, detect.RunOpts{
-		Shards: shards, GCShadow: gcShadow, GCEvents: gcEvents,
-	})
+	rep, n, err := detect.ReplayTrace(tr, build(), cfg, detect.RunOpts{GCShadow: gcShadow, GCEvents: gcEvents})
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay %s: workload %s under %s (recorded seed %d), shards=%d\n",
-		path, meta.Workload, cfg.Name, meta.Seed, shards)
+	fmt.Printf("replay %s: workload %s under %s (recorded seed %d)\n",
+		path, meta.Workload, cfg.Name, meta.Seed)
 	fmt.Printf("  events=%d elapsed=%s events/sec=%.0f\n", n, elapsed, float64(n)/elapsed.Seconds())
 	fmt.Printf("  warnings: %d, racy contexts: %d\n", len(rep.Warnings), rep.RacyContexts())
 	if fingerprint {

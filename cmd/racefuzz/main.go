@@ -9,13 +9,13 @@
 // Usage:
 //
 //	racefuzz [-n 100] [-start 1] [-sched-seed 1] [-window 7]
-//	         [-workers N] [-seq] [-shards N]
+//	         [-workers N] [-seq] [-overlap]
 //	         [-strict] [-no-oracle] [-shrink] [-emit file] [-sweep] [-v]
 //
 // Examples:
 //
 //	racefuzz -n 500                         # score a 500-seed corpus
-//	racefuzz -n 200 -shards 2 -strict       # the CI smoke configuration
+//	racefuzz -n 200 -strict                 # the CI smoke configuration
 //	racefuzz -n 40 -window 3 -shrink        # inject disagreements by
 //	                                        # undersizing the spin window,
 //	                                        # shrink the first one
@@ -25,7 +25,7 @@
 // With -strict the exit status is 1 when any oracle-vs-spin disagreement
 // or oracle violation is found (proximity variance of other presets does
 // not fail the run). Output is byte-identical for every -workers/-seq/
-// -shards combination.
+// -overlap combination.
 //
 // With -stats a footer reports the pipeline counters aggregated over
 // every preset run of the corpus — the same harness.RunStats block
@@ -52,7 +52,6 @@ func main() {
 	window := flag.Int("window", 7, "spin preset's basic-block window (lower it to inject disagreements)")
 	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS)")
 	seq := flag.Bool("seq", false, "run every job sequentially, in order")
-	shards := flag.Int("shards", 1, "detector shard workers per run")
 	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
 	strict := flag.Bool("strict", false, "exit 1 on any oracle-vs-spin disagreement or oracle violation")
 	noOracle := flag.Bool("no-oracle", false, "skip the per-seed ground-truth oracle validation runs")
@@ -65,7 +64,6 @@ func main() {
 
 	d := &synth.Differ{
 		Eng:         sched.New(sched.Options{Workers: *workers, Sequential: *seq}),
-		Shards:      *shards,
 		Overlap:     *overlap,
 		SchedSeed:   *schedSeed,
 		Window:      *window,

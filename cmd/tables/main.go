@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-seq] [-shards N]
-//	       [-overlap] [-overlap-adaptive] [-stats] [-synth-n 100]
+//	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-seq]
+//	       [-overlap] [-gc-shadow] [-stats] [-synth-n 100]
 //
 //	1     data-race-test accuracy, four tools (slide 24)
 //	2     spin-window sweep spin(3)/spin(6)/spin(7)/spin(8) (slide 25)
@@ -19,13 +19,10 @@
 //
 // Experiments run through the parallel experiment engine (GOMAXPROCS
 // workers by default). -workers bounds the concurrency; -seq is the
-// strictly sequential escape hatch; -shards N additionally partitions
-// each detector run's shadow state across N shard workers (intra-run
-// parallelism, for big single runs); -overlap runs each vm and its
-// detector concurrently through double-buffered trace segments, and
-// -overlap-adaptive additionally sizes those segments from observed
-// pipeline stalls. Output is byte-identical under every combination of
-// the five knobs.
+// strictly sequential escape hatch; -overlap runs each vm and its
+// detector concurrently through double-buffered trace segments;
+// -gc-shadow retires quiescent shadow state during every run. Output is
+// byte-identical under every combination of the knobs.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
 // over every run: events processed, events/sec, shadow bytes, read-set
@@ -39,53 +36,29 @@
 // concurrently on the experiment engine, so the trace shows all jobs'
 // pipelines interleaved — one process group per job; for a single clean
 // timeline use racedetect -trace.
-//
-// -replay <trace> switches tables into the events/sec scaling harness:
-// a binary trace recorded by `racedetect -record` is replayed through
-// detectors at shards 1, 2, 4, and 8 — the identical event stream each
-// time, no vm in the loop — and the per-shard wall clock and events/sec
-// are printed as a scaling curve. Every replay's report is asserted
-// byte-identical to the shards-1 report before its row prints.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"adhocrace/internal/detect"
-	"adhocrace/internal/event"
 	"adhocrace/internal/harness"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
-	"adhocrace/internal/serve"
-	"adhocrace/internal/workloads"
 )
 
 func main() {
 	which := flag.String("t", "all", "table to regenerate: all,1,2,3,4,5,6,perf,synth")
 	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS)")
 	seq := flag.Bool("seq", false, "run every detector job sequentially, in order")
-	shards := flag.Int("shards", 1, "detector shard workers per run (1 = single-threaded)")
 	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
-	adaptive := flag.Bool("overlap-adaptive", false, "size overlap segments adaptively from pipeline stalls (implies -overlap)")
 	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during every run (bounded memory, identical tables)")
 	stats := flag.Bool("stats", false, "print aggregated pipeline stats after the tables")
 	trace := flag.String("trace", "", "write Chrome trace-event JSON of every job's pipeline spans to this file")
 	synthN := flag.Int64("synth-n", 100, "generated programs for the synth corpus table")
-	replayPath := flag.String("replay", "", "replay a recorded binary trace at shards 1/2/4/8 and print the scaling curve")
 	flag.Parse()
-
-	if *replayPath != "" {
-		if err := replayScaling(*replayPath); err != nil {
-			fmt.Fprintf(os.Stderr, "tables: replay: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	valid := map[string]bool{"all": true, "1": true, "2": true, "3": true,
 		"4": true, "5": true, "6": true, "perf": true, "synth": true}
@@ -95,7 +68,7 @@ func main() {
 	}
 
 	runner := harness.NewRunner(sched.Options{Workers: *workers, Sequential: *seq}).
-		WithShards(*shards).WithOverlap(*overlap).WithAdaptiveOverlap(*adaptive).WithGC(*gcShadow)
+		WithOverlap(*overlap).WithGC(*gcShadow)
 	var runStats *harness.RunStats
 	if *stats {
 		runStats = &harness.RunStats{}
@@ -188,63 +161,6 @@ func main() {
 		}
 		fmt.Printf("trace written to %s (load in chrome://tracing or Perfetto)\n", *trace)
 	}
-}
-
-// replayScaling is the events/sec scaling harness: one recorded stream,
-// four shard counts, byte-identical reports asserted, wall clock and
-// throughput per row.
-func replayScaling(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	head, err := event.NewTraceReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	meta := head.Meta()
-	build, ok := workloads.Find(meta.Workload)
-	if !ok {
-		return fmt.Errorf("trace workload %q not in the registry", meta.Workload)
-	}
-	cfg, err := serve.ToolConfig(meta.Tool, meta.Window)
-	if err != nil {
-		return fmt.Errorf("trace tool: %w", err)
-	}
-	prog := build()
-	// Analyze the program before the timed loop: the first ReplayTrace
-	// would otherwise pay for the spin analysis that later rows find
-	// memoized on the program, and the speedup column would count it.
-	prog.Interning()
-	cfg.Instrument(prog)
-	fmt.Printf("Replay scaling — %s under %s (recorded seed %d), GOMAXPROCS=%d\n",
-		meta.Workload, cfg.Name, meta.Seed, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-10s %14s %14s %14s %10s\n", "shards", "events", "elapsed", "events/sec", "speedup")
-	var baseFP string
-	var baseElapsed time.Duration
-	for _, shards := range []int{1, 2, 4, 8} {
-		tr, err := event.NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		rep, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{Shards: shards})
-		elapsed := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
-		}
-		fp := harness.ReportFingerprint(rep)
-		if shards == 1 {
-			baseFP, baseElapsed = fp, elapsed
-		} else if fp != baseFP {
-			return fmt.Errorf("shards=%d report differs from shards-1 (byte-identity violated)", shards)
-		}
-		fmt.Printf("%-10d %14d %14s %14.0f %9.2fx\n",
-			shards, n, elapsed.Round(time.Microsecond), float64(n)/elapsed.Seconds(),
-			baseElapsed.Seconds()/elapsed.Seconds())
-	}
-	fmt.Println("reports byte-identical across all shard counts")
-	return nil
 }
 
 func printParsec(title string, table func() (map[string]map[string]float64, []string, error)) error {

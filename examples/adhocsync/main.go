@@ -74,7 +74,7 @@ func main() {
 		detect.HelgrindPlusLibSpin(7),   // the paper's contribution
 		detect.HelgrindPlusNolibSpin(7), // the universal detector
 	} {
-		rep, _, err := detect.Run(prog, cfg, 1)
+		rep, _, err := detect.Prepare(prog).Run(cfg, 1, detect.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

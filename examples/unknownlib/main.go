@@ -56,7 +56,7 @@ func main() {
 		detect.HelgrindPlusLibSpin(7),   // spin detection sees through it
 		detect.HelgrindPlusNolibSpin(7), // no library knowledge at all
 	} {
-		rep, res, err := detect.Run(prog, cfg, 1)
+		rep, res, err := detect.Prepare(prog).Run(cfg, 1, detect.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -93,7 +93,7 @@ type Config struct {
 	// of the universal detector on two-phase locks.
 	InferLocks bool
 
-	// fullVCReads switches the shard read representation from the adaptive
+	// fullVCReads switches the read representation from the adaptive
 	// FastTrack epochs back to the seed full-vector-clock implementation
 	// (refreads.go) — the reference the epoch-equivalence tests replay
 	// corpora against. Test-only, reachable through an export_test hook;

@@ -1,7 +1,7 @@
 // Decoded-vs-reference interpreter equivalence: the pre-decoded vm
 // dispatch (vm.Decode) must produce byte-identical reports to the legacy
 // switch interpreter on every workload, under every preset, across the
-// shards × overlap × GC pipeline sweep. External test package like the
+// overlap × GC pipeline sweep. External test package like the
 // other equivalence suites (imports the workload packages, which cycle
 // back into detect for an in-package test).
 package detect_test
@@ -17,15 +17,13 @@ import (
 )
 
 // decodeSweepOpts is the pipeline sweep the decoded-equivalence tests
-// rotate through: sequential, sharded, overlapped, and GC'd shapes — the
+// rotate through: sequential, overlapped, and GC'd shapes — the
 // decoded dispatch must be invisible under all of them.
 func decodeSweepOpts() []detect.RunOpts {
 	return []detect.RunOpts{
 		{},
-		{Shards: 2},
-		{Shards: 4},
 		detect.RunOpts{}.Overlapped(),
-		{Shards: 2, SegmentEvents: 64},
+		{SegmentEvents: 64},
 		{GCShadow: true, GCEvents: 256},
 	}
 }
@@ -35,20 +33,20 @@ func decodeSweepOpts() []detect.RunOpts {
 // reports.
 func checkDecodeEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64, opts detect.RunOpts) {
 	t.Helper()
-	dec, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	dec, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (decoded): %v", name, cfg.Name, seed, err)
 	}
 	refOpts := opts
 	refOpts.Reference = true
-	ref, _, err := detect.RunOpt(build(), cfg, seed, refOpts)
+	ref, _, err := detect.Prepare(build()).Run(cfg, seed, refOpts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (reference): %v", name, cfg.Name, seed, err)
 	}
 	want, got := harness.ReportFingerprint(ref), harness.ReportFingerprint(dec)
 	if got != want {
-		t.Errorf("%s under %s seed %d (shards=%d overlap=%d gc=%v): decoded report differs from reference interpreter\n--- reference ---\n%s--- decoded ---\n%s",
-			name, cfg.Name, seed, opts.Shards, opts.SegmentEvents, opts.GCShadow, want, got)
+		t.Errorf("%s under %s seed %d (overlap=%d gc=%v): decoded report differs from reference interpreter\n--- reference ---\n%s--- decoded ---\n%s",
+			name, cfg.Name, seed, opts.SegmentEvents, opts.GCShadow, want, got)
 	}
 }
 

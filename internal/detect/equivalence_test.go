@@ -25,11 +25,11 @@ func reportFingerprint(rep *detect.Report) string { return harness.ReportFingerp
 // representations and asserts byte-identical reports.
 func checkEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64) {
 	t.Helper()
-	epoch, _, err := detect.Run(build(), cfg, seed)
+	epoch, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (epoch): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.Run(build(), detect.FullVCReads(cfg), seed)
+	ref, _, err := detect.Prepare(build()).Run(detect.FullVCReads(cfg), seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (full VC): %v", name, cfg.Name, seed, err)
 	}
@@ -72,15 +72,13 @@ func TestEpochFullVCEquivalenceSynth(t *testing.T) {
 
 // syncSweepOpts are the pipeline shapes the clock-store equivalence sweep
 // rotates through: the byte-identical bar must hold not just sequentially
-// but under sharding (which moves the frozen clock stamps across the flush
-// boundary) and overlap (which moves them across goroutines).
+// but under overlap (which moves the frozen clock stamps across
+// goroutines).
 func syncSweepOpts() []detect.RunOpts {
 	return []detect.RunOpts{
 		{},
-		{Shards: 2},
-		{Shards: 4},
 		detect.RunOpts{}.Overlapped(),
-		{Shards: 2, SegmentEvents: 64},
+		{SegmentEvents: 64},
 	}
 }
 
@@ -89,18 +87,18 @@ func syncSweepOpts() []detect.RunOpts {
 // asserts byte-identical reports.
 func checkSyncEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64, opts detect.RunOpts) {
 	t.Helper()
-	store, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	store, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (store): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.RunOpt(build(), detect.FullVCSync(cfg), seed, opts)
+	ref, _, err := detect.Prepare(build()).Run(detect.FullVCSync(cfg), seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (full-VC sync): %v", name, cfg.Name, seed, err)
 	}
 	want, got := reportFingerprint(ref), reportFingerprint(store)
 	if got != want {
-		t.Errorf("%s under %s seed %d (shards=%d overlap=%d): clock-store report differs from full-VC reference\n--- full VC ---\n%s--- store ---\n%s",
-			name, cfg.Name, seed, opts.Shards, opts.SegmentEvents, want, got)
+		t.Errorf("%s under %s seed %d (overlap=%d): clock-store report differs from full-VC reference\n--- full VC ---\n%s--- store ---\n%s",
+			name, cfg.Name, seed, opts.SegmentEvents, want, got)
 	}
 }
 
@@ -122,7 +120,7 @@ func TestSyncStoreEquivalenceSuite(t *testing.T) {
 
 // TestSyncStoreEquivalenceSynth replays the synthesis corpus (500 seeds,
 // 80 under -short) against the full-VC sync reference, rotating the
-// shards × overlap sweep per seed.
+// overlap sweep per seed.
 func TestSyncStoreEquivalenceSynth(t *testing.T) {
 	seeds := int64(500)
 	if testing.Short() {

@@ -3,9 +3,7 @@ package detect
 import (
 	"testing"
 
-	"adhocrace/internal/core"
 	"adhocrace/internal/event"
-	"adhocrace/internal/hb"
 	"adhocrace/internal/vc"
 )
 
@@ -23,25 +21,22 @@ func gcFrozen(pairs map[int]uint64) vc.Frozen {
 	return c.Freeze()
 }
 
-func gcShard(cfg Config) *shardState {
-	c := cfg
-	return newShardState(&c, core.New(hb.New(), nil, nil), 1, 0)
-}
+func gcDetector(cfg Config) *Detector { return New(cfg, nil, nil) }
 
 // feedOrdered drives one write and two ordered reads (the second reader
-// promotes the read representation) through the shard at the given base
+// promotes the read representation) through the detector at the given base
 // stream position.
-func feedOrdered(s *shardState, base int64) {
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: base,
+func feedOrdered(s *Detector, base int64) {
+	s.feed(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: base,
 		clock: gcFrozen(map[int]uint64{1: 5})})
-	s.access(&entry{kind: event.KindRead, tid: 2, addr: 0x40, idx: base + 1,
+	s.feed(&entry{kind: event.KindRead, tid: 2, addr: 0x40, idx: base + 1,
 		clock: gcFrozen(map[int]uint64{1: 5, 2: 3})})
-	s.access(&entry{kind: event.KindRead, tid: 3, addr: 0x40, idx: base + 2,
+	s.feed(&entry{kind: event.KindRead, tid: 3, addr: 0x40, idx: base + 2,
 		clock: gcFrozen(map[int]uint64{1: 5, 3: 4})})
 }
 
 func TestShadowBytesRetireRoundTrip(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
+	s := gcDetector(HelgrindPlusLib())
 	feedOrdered(s, 1)
 	before := s.shadow.bytes()
 	if before == 0 {
@@ -72,7 +67,7 @@ func TestShadowBytesRetireRoundTrip(t *testing.T) {
 }
 
 func TestGCKeepsUndominatedWords(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
+	s := gcDetector(HelgrindPlusLib())
 	feedOrdered(s, 1)
 	before := s.shadow.bytes()
 	// Thread 3's read (tick 4) is not covered by wm[3] = 0.
@@ -86,8 +81,8 @@ func TestGCKeepsUndominatedWords(t *testing.T) {
 }
 
 func TestGCPreservesStickyFlags(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
-	s.access(&entry{kind: event.KindAtomicWrite, tid: 1, addr: 0x40, idx: 1,
+	s := gcDetector(HelgrindPlusLib())
+	s.feed(&entry{kind: event.KindAtomicWrite, tid: 1, addr: 0x40, idx: 1,
 		clock: gcFrozen(map[int]uint64{1: 5})})
 	w := s.shadow.word(0x40)
 	if !w.atomicEver {
@@ -113,8 +108,8 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 }
 
 func TestGCForgetsHybridLocksetVars(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
+	s := gcDetector(HelgrindPlusLib())
+	s.feed(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
 		clock: gcFrozen(map[int]uint64{1: 5})})
 	if s.locks.VarState(0x40) == nil {
 		t.Fatalf("hybrid access must create lockset var state")
@@ -126,8 +121,8 @@ func TestGCForgetsHybridLocksetVars(t *testing.T) {
 }
 
 func TestGCSkipsEraserLocksetVars(t *testing.T) {
-	s := gcShard(Eraser())
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
+	s := gcDetector(Eraser())
+	s.feed(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
 		clock: gcFrozen(map[int]uint64{1: 5})})
 	if s.locks.VarState(0x40) == nil {
 		t.Fatalf("Eraser access must create lockset var state")

@@ -21,13 +21,13 @@ func checkObserver(t *testing.T, build func() *ir.Program, name string, cfg dete
 	t.Helper()
 	var seen []detect.Warning
 	opts.OnWarning = func(w detect.Warning) { seen = append(seen, w) }
-	rep, _, err := detect.RunOpt(build(), cfg, 1, opts)
+	rep, _, err := detect.Prepare(build()).Run(cfg, 1, opts)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", name, cfg.Name, err)
 	}
 	if len(seen) != len(rep.Warnings) {
-		t.Fatalf("%s under %s (shards=%d overlap=%d): observed %d warnings, report has %d",
-			name, cfg.Name, opts.Shards, opts.SegmentEvents, len(seen), len(rep.Warnings))
+		t.Fatalf("%s under %s (overlap=%d): observed %d warnings, report has %d",
+			name, cfg.Name, opts.SegmentEvents, len(seen), len(rep.Warnings))
 	}
 	for i := range seen {
 		if !reflect.DeepEqual(seen[i], rep.Warnings[i]) {
@@ -44,9 +44,8 @@ func TestWarningObserverSuite(t *testing.T) {
 	cfg := detect.HelgrindPlusLibSpin(7)
 	sweep := []detect.RunOpts{
 		{},
-		{Shards: 4},
 		detect.RunOpts{}.Overlapped(),
-		{Shards: 2, SegmentEvents: 64},
+		{SegmentEvents: 64},
 	}
 	for _, c := range dataracetest.Suite() {
 		for _, opts := range sweep {
@@ -63,7 +62,7 @@ func TestWarningObserverSynth(t *testing.T) {
 		seeds = 15
 	}
 	cfgs := []detect.Config{detect.HelgrindPlusLibSpin(7), detect.DRD()}
-	sweep := []detect.RunOpts{{}, {Shards: 4}, detect.RunOpts{}.Overlapped()}
+	sweep := []detect.RunOpts{{}, {SegmentEvents: 64}, detect.RunOpts{}.Overlapped()}
 	for seed := int64(1); seed <= seeds; seed++ {
 		w := synth.Generate(seed, synth.Options{})
 		opts := sweep[int(seed)%len(sweep)]

@@ -24,7 +24,7 @@ import (
 //     compact set of (tid, tick, event) entries sorted by thread id — the
 //     sparse equivalent of the seed's read clock, with the event positions
 //     folded in (the seed's separate readEvents map is gone). Sets are
-//     recycled through a per-shard pool, so steady-state promotion traffic
+//     recycled through the detector's pool, so steady-state promotion traffic
 //     allocates nothing either.
 //   - demotion: a write ordered after every recorded read retires the whole
 //     read state (the set returns to the pool), restoring the epoch fast
@@ -74,7 +74,7 @@ type readState struct {
 // so the byte-identical equivalence bar rules it out. Promotion keeps
 // both; demotion (where the configuration licenses it) is what collapses
 // the set back to nothing on the next ordering write.
-func (rs *readState) record(s *shardState, tid event.Tid, c vc.Frozen, idx int64) {
+func (rs *readState) record(d *Detector, tid event.Tid, c vc.Frozen, idx int64) {
 	tick := c.Get(int(tid))
 	if rs.set != nil {
 		rs.set.update(tid, tick, idx)
@@ -82,12 +82,12 @@ func (rs *readState) record(s *shardState, tid event.Tid, c vc.Frozen, idx int64
 	}
 	if !rs.last.IsZero() && rs.last.Tid() != int(tid) {
 		// Second reader thread: promote, keeping both reads.
-		set := s.getReadSet()
+		set := d.getReadSet()
 		set.update(event.Tid(rs.last.Tid()), rs.last.Tick(), rs.lastEv)
 		set.update(tid, tick, idx)
 		rs.set = set
 		rs.last, rs.lastEv = 0, 0
-		s.promotions++
+		d.promotions++
 		return
 	}
 	// First read, or the recorded thread again: the epoch absorbs it.
@@ -135,12 +135,12 @@ func (rs *readState) orderedBefore(c vc.Frozen) bool {
 // empty reports whether any read is recorded at all.
 func (rs *readState) empty() bool { return rs.set == nil && rs.last.IsZero() }
 
-// demote retires the read state, returning a promoted set to the shard's
-// pool.
-func (rs *readState) demote(s *shardState) {
+// demote retires the read state, returning a promoted set to the
+// detector's pool.
+func (rs *readState) demote(d *Detector) {
 	if rs.set != nil {
-		s.putReadSet(rs.set)
-		s.demotions++
+		d.putReadSet(rs.set)
+		d.demotions++
 	}
 	*rs = readState{}
 }
@@ -206,19 +206,19 @@ func (r *readSet) update(tid event.Tid, tick uint64, ev int64) {
 	r.e[i] = readEntry{tid: tid, tick: tick, ev: ev}
 }
 
-// getReadSet takes a recycled read-set from the shard's pool (or allocates
-// the pool's first).
-func (s *shardState) getReadSet() *readSet {
-	if n := len(s.setPool); n > 0 {
-		set := s.setPool[n-1]
-		s.setPool = s.setPool[:n-1]
+// getReadSet takes a recycled read-set from the detector's pool (or
+// allocates the pool's first).
+func (d *Detector) getReadSet() *readSet {
+	if n := len(d.setPool); n > 0 {
+		set := d.setPool[n-1]
+		d.setPool = d.setPool[:n-1]
 		return set
 	}
 	return &readSet{}
 }
 
 // putReadSet returns a demoted set to the pool for reuse.
-func (s *shardState) putReadSet(set *readSet) {
+func (d *Detector) putReadSet(set *readSet) {
 	set.e = set.e[:0]
-	s.setPool = append(s.setPool, set)
+	d.setPool = append(d.setPool, set)
 }

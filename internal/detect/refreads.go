@@ -31,31 +31,30 @@ type refWord struct {
 // scan and shadow update against refWord state. The caller has already run
 // the tool-specific lockset bookkeeping and the write-epoch conflict check
 // (raceWith/raceEvent carry its outcome).
-func (s *shardState) accessRef(e *entry, w *shadowWord, isWrite, isAtomic bool, raceWith event.Tid, raceEvent int64) {
-	r := s.ref[e.addr]
+func (d *Detector) accessRef(ev *event.Event, clock vc.Frozen, w *shadowWord, isWrite, isAtomic bool, raceWith event.Tid, raceEvent int64) {
+	r := d.ref[ev.Addr]
 	if r == nil {
 		r = &refWord{}
-		s.ref[e.addr] = r
+		d.ref[ev.Addr] = r
 	}
-	clock := e.clock
 
 	if isWrite && raceWith < 0 {
-		raceWith, raceEvent = refConflict(r.reads, r, e.tid, clock)
+		raceWith, raceEvent = refConflict(r.reads, r, ev.Tid, clock)
 		if raceWith < 0 && !isAtomic {
-			raceWith, raceEvent = refConflict(r.readsAtomic, r, e.tid, clock)
+			raceWith, raceEvent = refConflict(r.readsAtomic, r, ev.Tid, clock)
 		}
 	}
 
 	if raceWith >= 0 {
-		s.maybeReport(e, w, isWrite, raceWith, raceEvent)
+		d.maybeReport(ev, w, isWrite, raceWith, raceEvent)
 	}
 
 	if isWrite {
 		w.wSeen = true
-		w.wTid = e.tid
-		w.wTick = clock.Get(int(e.tid))
-		w.wEvent = e.idx
-		w.wLoc = e.loc
+		w.wTid = ev.Tid
+		w.wTick = clock.Get(int(ev.Tid))
+		w.wEvent = d.events
+		w.wLoc = ev.Loc
 		w.wAtomic = isAtomic
 	} else {
 		rc := &r.reads
@@ -65,11 +64,11 @@ func (s *shardState) accessRef(e *entry, w *shadowWord, isWrite, isAtomic bool, 
 		if *rc == nil {
 			*rc = vc.New()
 		}
-		(*rc).Set(int(e.tid), clock.Get(int(e.tid)))
+		(*rc).Set(int(ev.Tid), clock.Get(int(ev.Tid)))
 		if r.readEvents == nil {
 			r.readEvents = make(map[event.Tid]int64)
 		}
-		r.readEvents[e.tid] = e.idx
+		r.readEvents[ev.Tid] = d.events
 	}
 }
 

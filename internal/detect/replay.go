@@ -2,16 +2,15 @@ package detect
 
 // Trace record/replay: run a workload once and capture its event stream
 // as a binary trace (event.TraceWriter), then drive detectors from the
-// recording with no vm in the loop. Replay is how the scaling harness
-// measures pure detection throughput — the same recorded stream pushed
-// through 1/2/4/8 shard workers — and how `racedetect -record/-replay`
-// turn a run into a portable artifact.
+// recording with no vm in the loop. Replay is how the benchmarks measure
+// detection alone, and how `racedetect -record/-replay` turn a run into a
+// portable artifact.
 //
 // The byte-identity contract: a replayed report equals the live run's
 // report byte for byte (harness.ReportFingerprint), because the recorded
 // stream is exactly what the live detector consumed and interning ids are
 // deterministic for a given program build. The round-trip tests assert
-// this across the accuracy suite, presets, and shard counts.
+// this across the accuracy suite, presets, and pipeline shapes.
 
 import (
 	"io"
@@ -43,8 +42,9 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 }
 
 // ReplayTrace feeds a recorded trace through a fresh detector built for
-// cfg and the requested pipeline shape (shards and shadow-GC apply; the
-// vm-side knobs — overlap, interrupt, deadline — have no vm to act on).
+// cfg and the requested pipeline shape (shadow GC, observers and
+// failpoints apply; the vm-side knobs — overlap, interrupt, deadline —
+// have no vm to act on).
 // The program must be the same build that was recorded: its interning
 // table is checked against the trace header before any event is decoded.
 // The instrumentation is the program's memoized one (Config.Instrument),
@@ -55,7 +55,6 @@ func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts)
 		return nil, 0, err
 	}
 	d := newPipeline(p, cfg, opts)
-	defer d.Close()
 	var sink event.Sink = d
 	if opts.Tap != nil {
 		sink = event.Multi(opts.Tap, d)

@@ -13,20 +13,13 @@ import (
 )
 
 // RunOpts selects the pipeline shape of one detector run. The zero value
-// is the plain synchronous single-threaded pipeline. Every combination
-// produces byte-identical reports; the knobs trade wall-clock time only.
+// is the plain synchronous pipeline. Every combination produces
+// byte-identical reports; the knobs trade wall-clock time only.
 type RunOpts struct {
-	// Shards partitions the detector's shadow state across this many shard
-	// workers (see NewSharded); values below 2 mean single-threaded.
-	Shards int
 	// SegmentEvents > 0 overlaps vm execution with detection through
 	// double-buffered trace segments of this many events
 	// (vm.Options.SegmentEvents); negative uses event.DefaultSegmentEvents.
 	SegmentEvents int
-	// AdaptiveSegments grows/shrinks the overlap segment size from
-	// observed pipeline stalls (vm.Options.AdaptiveSegments); reports are
-	// byte-identical under every sizing policy.
-	AdaptiveSegments bool
 
 	// GCShadow enables the quiescence shadow-state GC (see gc.go): shadow
 	// words, read-sets, sync objects, and release histories dominated by
@@ -40,19 +33,17 @@ type RunOpts struct {
 	GCEvents int64
 
 	// OnWarning, when set, observes every warning of the run exactly once,
-	// in the final report's order — the server's incremental report stream.
-	// With a single shard the callback fires inline as warnings are
-	// appended (stream order); with more shards, warnings surface when the
-	// merged report is assembled, still in the same order. Either way the
-	// observed sequence equals Report.Warnings byte for byte. The callback
-	// runs on whichever goroutine drives detection (the vm's execution
-	// goroutine, or the overlap pipeline's consumer), so it may block —
-	// blocking is the server's backpressure — but must not call back into
-	// the detector.
+	// inline as it is appended — the server's incremental report stream.
+	// The observed sequence equals Report.Warnings byte for byte. The
+	// callback runs on whichever goroutine drives detection (the vm's
+	// execution goroutine, or the overlap pipeline's consumer), so it may
+	// block — blocking is the server's backpressure — but must not call
+	// back into the detector.
 	OnWarning func(Warning)
 	// Tap, when non-nil, observes the raw event stream ahead of the
-	// detector (live progress gauges; event.AtomicCounter is the intended
-	// implementation). Called once per event on the producing goroutine.
+	// detector: live progress gauges (event.AtomicCounter) or the
+	// instrumentation-load event count (*event.Counter). Called once per
+	// event on the producing goroutine.
 	Tap event.Sink
 	// Interrupt, when non-nil, aborts the run once it reads true
 	// (vm.Options.Interrupt): vm.Run returns vm.ErrInterrupted and the
@@ -64,14 +55,12 @@ type RunOpts struct {
 	// timeout (raced -run-timeout).
 	Deadline time.Time
 	// Fault, when non-nil, arms the pipeline's named failpoints (segment
-	// rotation, demux dispatch, shard apply, merge, GC cycle — see
-	// internal/fault). Nil (the default) keeps every site a nil-check;
+	// rotation, merge, GC cycle — see internal/fault). Nil (the default) keeps every site a nil-check;
 	// this is the chaos suite's injection handle, never set in production
 	// runs unless explicitly configured.
 	Fault *fault.Registry
 	// Obs, when non-nil, records per-stage observability for the run —
-	// vm quanta, segment pipeline stalls, demux batches, shard applies,
-	// GC cycles, merge time — into the pipeline's recorder (internal/obs).
+	// vm quanta, segment pipeline stalls, GC cycles, merge time — into the pipeline's recorder (internal/obs).
 	// Nil (the default) makes every probe a nil-check; reports are
 	// byte-identical either way.
 	Obs *obs.Pipeline
@@ -95,8 +84,8 @@ func (o RunOpts) Overlapped() RunOpts {
 // memoized analyses (Config.Instrument, ir.Program.Derived) — both
 // immutable at run time: the vm keeps all execution state private and the
 // spin analysis is purely static — so concurrent runs (the experiment
-// engine's jobs, sharded workers) share them, and so does every other
-// entry point handed the same program (RunOpt, RecordTrace, ReplayTrace).
+// engine's jobs, server sessions) share them, and so does every other
+// entry point handed the same program (RecordTrace, ReplayTrace).
 type Prepared struct {
 	Prog *ir.Program
 }
@@ -118,103 +107,42 @@ func (pr *Prepared) Instrument(cfg Config) *spin.Instrumentation { return cfg.In
 func (pr *Prepared) Decoded(cfg Config) *vm.Decoded { return decoded(pr.Prog, cfg.SpinWindow) }
 
 // Run executes the prepared workload under one tool configuration, seed,
-// and pipeline shape, feeding the event stream through a fresh detector.
+// and pipeline shape: it runs the vm on the program's memoized decode
+// under cfg's instrumentation and interception set, and feeds the event
+// stream through a fresh detector.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return run(pr.Prog, cfg, seed, opts, nil)
-}
-
-// RunWithCounter is Run with an event counter tapping the stream ahead of
-// the detector.
-func (pr *Prepared) RunWithCounter(cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
-	ctr := &event.Counter{}
-	rep, res, err := run(pr.Prog, cfg, seed, opts, ctr)
-	return rep, ctr, res, err
-}
-
-// Run executes a program under one tool configuration and seed: it runs the
-// instrumentation phase, executes the program on the VM with the
-// configuration's interception set, and feeds the event stream through a
-// fresh detector.
-func Run(p *ir.Program, cfg Config, seed int64) (*Report, vm.Result, error) {
-	return RunOpt(p, cfg, seed, RunOpts{})
-}
-
-// RunSharded is Run with the detector's shadow state partitioned across
-// the given number of shard workers (see NewSharded). The report is
-// byte-identical to shards == 1; only wall-clock time changes.
-func RunSharded(p *ir.Program, cfg Config, seed int64, shards int) (*Report, vm.Result, error) {
-	return RunOpt(p, cfg, seed, RunOpts{Shards: shards})
-}
-
-// RunOpt is Run with an explicit pipeline shape.
-func RunOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return run(p, cfg, seed, opts, nil)
-}
-
-// RunWithCounter is Run with an event counter attached (for the performance
-// figures measuring instrumentation load).
-func RunWithCounter(p *ir.Program, cfg Config, seed int64) (*Report, *event.Counter, vm.Result, error) {
-	return RunWithCounterOpt(p, cfg, seed, RunOpts{})
-}
-
-// RunWithCounterSharded is RunWithCounter with a sharded detector (see
-// NewSharded). The counter runs on the event-consuming goroutine either
-// way.
-func RunWithCounterSharded(p *ir.Program, cfg Config, seed int64, shards int) (*Report, *event.Counter, vm.Result, error) {
-	return RunWithCounterOpt(p, cfg, seed, RunOpts{Shards: shards})
-}
-
-// RunWithCounterOpt is RunWithCounter with an explicit pipeline shape.
-func RunWithCounterOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
-	ctr := &event.Counter{}
-	rep, res, err := run(p, cfg, seed, opts, ctr)
-	return rep, ctr, res, err
-}
-
-// run is the shared run body: build the detector for the requested
-// pipeline shape, execute the program's memoized decode under cfg's
-// instrumentation, report. ctr, when non-nil, taps the stream ahead of the
-// detector.
-func run(p *ir.Program, cfg Config, seed int64, opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
-	d := newPipeline(p, cfg, opts)
-	defer d.Close()
+	d := newPipeline(pr.Prog, cfg, opts)
 	var sink event.Sink = d
-	switch {
-	case ctr != nil && opts.Tap != nil:
-		sink = event.Multi(ctr, opts.Tap, d)
-	case ctr != nil:
-		sink = event.Multi(ctr, d)
-	case opts.Tap != nil:
+	if opts.Tap != nil {
 		sink = event.Multi(opts.Tap, d)
 	}
-	res, err := vm.Run(p, vm.Options{
-		Seed:             seed,
-		KnownLibs:        cfg.KnownLibs,
-		Instr:            d.ins,
-		Sink:             sink,
-		SegmentEvents:    opts.SegmentEvents,
-		AdaptiveSegments: opts.AdaptiveSegments,
-		Interrupt:        opts.Interrupt,
-		Deadline:         opts.Deadline,
-		Obs:              opts.Obs,
-		Fault:            opts.Fault,
-		Decoded:          decoded(p, cfg.SpinWindow),
-		Reference:        opts.Reference,
+	res, err := vm.Run(pr.Prog, vm.Options{
+		Seed:          seed,
+		KnownLibs:     cfg.KnownLibs,
+		Instr:         d.ins,
+		Sink:          sink,
+		SegmentEvents: opts.SegmentEvents,
+		Interrupt:     opts.Interrupt,
+		Deadline:      opts.Deadline,
+		Obs:           opts.Obs,
+		Fault:         opts.Fault,
+		Decoded:       decoded(pr.Prog, cfg.SpinWindow),
+		Reference:     opts.Reference,
 	})
 	return d.Report(), res, err
 }
 
 // newPipeline builds the detector of one run or replay: cfg's memoized
-// instrumentation of p, opts' shard count, shadow GC, observability,
-// failpoints and warning observer. The caller closes it.
+// instrumentation of p, with opts' shadow GC, observability, failpoints
+// and warning observer.
 func newPipeline(p *ir.Program, cfg Config, opts RunOpts) *Detector {
-	d := NewSharded(cfg, cfg.Instrument(p), p, opts.Shards)
+	d := New(cfg, cfg.Instrument(p), p)
 	if opts.GCShadow {
 		d.EnableShadowGC(opts.GCEvents)
 	}
 	d.setObs(opts.Obs)
-	d.setFault(opts.Fault)
-	d.setWarningObserver(opts.OnWarning)
+	d.fault = opts.Fault
+	d.onWarning = opts.OnWarning
 	return d
 }
 

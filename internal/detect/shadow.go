@@ -15,8 +15,7 @@ const (
 	// pageWordShift sizes a page at 512 words (4 KiB of address space) —
 	// big enough that the one-entry page cache absorbs nearly every
 	// lookup, small enough that a page (~50 KiB of shadow words) is cheap
-	// to zero-allocate per detector, which matters when a sharded run
-	// builds one shadow table per shard.
+	// to zero-allocate per detector.
 	pageWordShift = 9
 	pageWords     = 1 << pageWordShift
 	pageWordMask  = pageWords - 1
@@ -30,8 +29,7 @@ type shadowPage struct {
 	live int
 }
 
-// shadowMem is the two-level paged shadow memory of one detector run (or,
-// under sharding, of one shard's slice of the run).
+// shadowMem is the two-level paged shadow memory of one detector run.
 type shadowMem struct {
 	pages map[int64]*shadowPage
 	// One-entry cache: experiment programs are small enough that nearly
@@ -39,31 +37,13 @@ type shadowMem struct {
 	// comparison plus an array index.
 	lastKey  int64
 	lastPage *shadowPage
-	// stride compacts a shard's address space: a shard owning every
-	// stride-th shadow line remaps line L to local line L/stride, so its
-	// owned words pack densely into pages instead of leaving each page
-	// (stride-1)/stride empty. 1 (the single-threaded detector) is the
-	// identity. The remap is injective per shard, which is all
-	// correctness needs; it exists so N shards allocate about as many
-	// pages together as one detector would alone.
-	stride int64
-	// shardIdx is this table's shard index under the stride remap; with
-	// stride it inverts the word remap (addrOf), which the GC needs to
-	// forget lockset variables keyed by original byte address.
-	shardIdx int64
 	// retired preserves the sticky suppression flags of GC-retired words,
 	// per page key; nil until the GC first retires a flagged word. See
 	// gc.go.
 	retired map[int64]*retiredFlags
 }
 
-func newShadowMem() *shadowMem { return newShadowMemStride(1, 0) }
-
-// newShadowMemStride builds the shadow table of the shard with the given
-// index among stride shards (it owns every stride-th shadow line).
-func newShadowMemStride(stride, shardIdx int64) *shadowMem {
-	return &shadowMem{pages: make(map[int64]*shadowPage), stride: stride, shardIdx: shardIdx}
-}
+func newShadowMem() *shadowMem { return &shadowMem{pages: make(map[int64]*shadowPage)} }
 
 // retiredOf returns (allocating on demand) the retired-flag bitmap of the
 // given page key.
@@ -79,25 +59,16 @@ func (s *shadowMem) retiredOf(key int64) *retiredFlags {
 	return rf
 }
 
-// addrOf inverts word: the original byte address of word i of the page
-// with the given key, undoing the stride remap.
-func (s *shadowMem) addrOf(key int64, i int) int64 {
-	wi := key<<pageWordShift | int64(i)
-	if s.stride > 1 {
-		line := wi >> shardLineShift
-		wi = (line*s.stride+s.shardIdx)<<shardLineShift | (wi & shardLineMask)
-	}
-	return wi << addrWordShift
+// addrOf inverts word: the byte address of word i of the page with the
+// given key.
+func addrOf(key int64, i int) int64 {
+	return (key<<pageWordShift | int64(i)) << addrWordShift
 }
 
 // word returns the shadow word for a byte address, allocating its page on
 // first touch.
 func (s *shadowMem) word(addr int64) *shadowWord {
 	wi := addr >> addrWordShift
-	if s.stride > 1 {
-		line := wi >> shardLineShift
-		wi = (line/s.stride)<<shardLineShift | (wi & shardLineMask)
-	}
 	key := wi >> pageWordShift
 	pg := s.lastPage
 	if pg == nil || key != s.lastKey {

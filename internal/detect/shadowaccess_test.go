@@ -3,19 +3,32 @@ package detect
 import (
 	"testing"
 
-	"adhocrace/internal/core"
 	"adhocrace/internal/event"
-	"adhocrace/internal/hb"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/vc"
 )
 
-// benchShard builds a bare shard state the way a single-threaded detector
-// would, with the ad-hoc engine disabled — the microbenchmarks drive
-// access() directly, below the event plumbing.
-func benchShard(cfg Config) *shardState {
-	c := cfg
-	return newShardState(&c, core.New(hb.New(), nil, nil), 1, 0)
+// benchDetector builds a bare detector with the ad-hoc engine disabled — the
+// microbenchmarks drive the access path directly through feed, below the
+// event plumbing and the happens-before engine.
+func benchDetector(cfg Config) *Detector { return New(cfg, nil, nil) }
+
+// entry is one access fed straight into the access path: the event fields
+// it reads, its stream position, and the accessing thread's clock.
+type entry struct {
+	kind  event.Kind
+	tid   event.Tid
+	addr  int64
+	sym   ir.SymID
+	loc   ir.LocID
+	idx   int64
+	clock vc.Frozen
+}
+
+// feed runs the access path for e at stream position e.idx.
+func (d *Detector) feed(e *entry) {
+	d.events = e.idx
+	d.access(&event.Event{Kind: e.kind, Tid: e.tid, Addr: e.addr, Sym: e.sym, Loc: e.loc}, e.clock)
 }
 
 func readEntryFor(tid event.Tid, addr int64, clock *vc.Clock, idx int64) entry {
@@ -32,14 +45,14 @@ func writeEntryFor(tid event.Tid, addr int64, clock *vc.Clock, idx int64) entry 
 // TestShadowAccessSameEpochZeroAlloc pins the acceptance bar: the
 // same-epoch read path — one thread re-reading a word — must not allocate.
 func TestShadowAccessSameEpochZeroAlloc(t *testing.T) {
-	s := benchShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	clock := vc.New()
 	clock.Tick(1)
 	e := readEntryFor(1, 64, clock, 1)
-	s.access(&e) // warm up: page + lockset var materialize once
+	s.feed(&e) // warm up: page + lockset var materialize once
 	allocs := testing.AllocsPerRun(200, func() {
 		e.idx++
-		s.access(&e)
+		s.feed(&e)
 	})
 	if allocs != 0 {
 		t.Errorf("same-epoch access path allocates %.1f per op, want 0", allocs)
@@ -48,22 +61,22 @@ func TestShadowAccessSameEpochZeroAlloc(t *testing.T) {
 
 // TestReadStateAdaptive walks one word through the representation's
 // lifecycle: epoch → promoted read-set (second reader) → demoted back by
-// an ordering write, with the set recycled through the shard pool.
+// an ordering write, with the set recycled through the detector pool.
 func TestReadStateAdaptive(t *testing.T) {
-	s := benchShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	c1, c2 := vc.New(), vc.New()
 	c1.Set(1, 5)
 	c2.Set(2, 9)
 
 	r1 := readEntryFor(1, 0, c1, 1)
-	s.access(&r1)
+	s.feed(&r1)
 	w := s.shadow.word(0)
 	if w.reads.set != nil || w.reads.last.Tid() != 1 {
 		t.Fatalf("single reader must stay in epoch mode: %+v", w.reads)
 	}
 
 	r2 := readEntryFor(2, 0, c2, 2)
-	s.access(&r2)
+	s.feed(&r2)
 	if w.reads.set == nil || len(w.reads.set.e) != 2 {
 		t.Fatalf("second reader must promote to a 2-entry set: %+v", w.reads)
 	}
@@ -81,7 +94,7 @@ func TestReadStateAdaptive(t *testing.T) {
 	cw.Set(2, 10)
 	cw.Set(3, 1)
 	wr := writeEntryFor(3, 0, cw, 3)
-	s.access(&wr)
+	s.feed(&wr)
 	if !w.reads.empty() {
 		t.Fatalf("ordering write must demote the read-set: %+v", w.reads)
 	}
@@ -96,8 +109,8 @@ func TestReadStateAdaptive(t *testing.T) {
 	pooled := s.setPool[0]
 	r3 := readEntryFor(1, 0, c1, 4)
 	r4 := readEntryFor(2, 0, c2, 5)
-	s.access(&r3)
-	s.access(&r4)
+	s.feed(&r3)
+	s.feed(&r4)
 	if w.reads.set != pooled {
 		t.Error("promotion must reuse the pooled read-set")
 	}
@@ -106,21 +119,21 @@ func TestReadStateAdaptive(t *testing.T) {
 // TestDemotionGating: a configuration whose reporting can observe retired
 // reads (DRD: per-site dedup, bounded history) must never demote.
 func TestDemotionGating(t *testing.T) {
-	s := benchShard(DRD())
+	s := benchDetector(DRD())
 	c1, c2 := vc.New(), vc.New()
 	c1.Set(1, 5)
 	c2.Set(2, 9)
 	r1 := readEntryFor(1, 0, c1, 1)
 	r2 := readEntryFor(2, 0, c2, 2)
-	s.access(&r1)
-	s.access(&r2)
+	s.feed(&r1)
+	s.feed(&r2)
 
 	cw := vc.New()
 	cw.Set(1, 6)
 	cw.Set(2, 10)
 	cw.Set(3, 1)
 	wr := writeEntryFor(3, 0, cw, 3)
-	s.access(&wr)
+	s.feed(&wr)
 	w := s.shadow.word(0)
 	if w.reads.set == nil || len(w.reads.set.e) != 2 {
 		t.Fatalf("DRD must keep the read-set across ordering writes: %+v", w.reads)
@@ -133,10 +146,10 @@ func TestDemotionGating(t *testing.T) {
 // BenchmarkShadowAccess measures the per-access shadow path in its three
 // representation regimes. Run with -benchmem: same-epoch must be 0
 // allocs/op; promoted and demoted are 0 allocs/op at steady state because
-// read-sets recycle through the shard pool.
+// read-sets recycle through the detector pool.
 func BenchmarkShadowAccess(b *testing.B) {
 	b.Run("same-epoch", func(b *testing.B) {
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		clock := vc.New()
 		clock.Tick(1)
 		e := readEntryFor(1, 64, clock, 0)
@@ -144,13 +157,13 @@ func BenchmarkShadowAccess(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.idx = int64(i)
-			s.access(&e)
+			s.feed(&e)
 		}
 	})
 	b.Run("promoted", func(b *testing.B) {
 		// Two reader threads alternating on one word: the set persists, so
 		// every access is a sorted in-set update.
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		c1, c2 := vc.New(), vc.New()
 		c1.Set(1, 5)
 		c2.Set(2, 9)
@@ -164,13 +177,13 @@ func BenchmarkShadowAccess(b *testing.B) {
 				e = &e2
 			}
 			e.idx = int64(i)
-			s.access(e)
+			s.feed(e)
 		}
 	})
 	b.Run("demoted", func(b *testing.B) {
 		// Promote–demote cycle: two concurrent reads build a set, an
 		// ordering write retires it to the pool; the next cycle reuses it.
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		c1, c2 := vc.New(), vc.New()
 		c1.Set(1, 5)
 		c2.Set(2, 9)
@@ -186,9 +199,9 @@ func BenchmarkShadowAccess(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			idx := int64(3 * i)
 			r1.idx, r2.idx, wr.idx = idx, idx+1, idx+2
-			s.access(&r1)
-			s.access(&r2)
-			s.access(&wr)
+			s.feed(&r1)
+			s.feed(&r2)
+			s.feed(&wr)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 package event
 
 // Flusher is implemented by sinks that buffer events instead of fully
-// processing them inside Handle — the sharded detector queues accesses for
-// its shard workers. The vm flushes such sinks when a run completes, so a
-// Result and its Report are never read with work still in flight.
+// processing them inside Handle — a trace writer buffers encoded bytes, the
+// overlap pipeline a partial segment. The vm flushes such sinks when a run
+// completes, so a Result and its Report are never read with work still in
+// flight.
 type Flusher interface {
 	Flush()
 }

@@ -38,18 +38,10 @@ var Seeds = []int64{1, 2, 3, 4, 5}
 // Runner executes the paper's experiments on a job engine.
 type Runner struct {
 	eng *sched.Engine
-	// shards partitions each detector run's shadow state across this many
-	// shard workers (see detect.NewSharded); 0 or 1 means single-threaded
-	// detectors. Orthogonal to the engine's workers: the engine
-	// parallelizes across runs, shards parallelize within one.
-	shards int
 	// overlap runs every detector job with the vm→detector segment
 	// pipeline (detect.RunOpts.SegmentEvents), overlapping execution and
 	// detection within each run. Output is byte-identical either way.
 	overlap bool
-	// adaptive sizes the overlap segments from observed pipeline stalls
-	// (detect.RunOpts.AdaptiveSegments).
-	adaptive bool
 	// gc runs every detector with the quiescence shadow-state GC
 	// (detect.RunOpts.GCShadow); table output is byte-identical either way.
 	gc bool
@@ -66,29 +58,10 @@ type Runner struct {
 // Options.Sequential is the strictly-in-order escape hatch.
 func NewRunner(opts sched.Options) *Runner { return &Runner{eng: sched.New(opts)} }
 
-// WithShards sets the per-run detector shard count and returns the
-// runner. Table output is byte-identical for every shard count; use
-// shards on few-core-count batches of big runs, workers on big batches.
-func (r *Runner) WithShards(n int) *Runner {
-	r.shards = n
-	return r
-}
-
 // WithOverlap toggles the overlapped vm→detector segment pipeline for
 // every run; table output is byte-identical either way.
 func (r *Runner) WithOverlap(on bool) *Runner {
 	r.overlap = on
-	return r
-}
-
-// WithAdaptiveOverlap toggles stall-driven segment sizing, implying the
-// overlap pipeline itself; byte-identical output under every sizing
-// policy.
-func (r *Runner) WithAdaptiveOverlap(on bool) *Runner {
-	r.adaptive = on
-	if on {
-		r.overlap = true
-	}
 	return r
 }
 
@@ -112,20 +85,11 @@ func (r *Runner) WithObs(p *obs.Pipeline) *Runner {
 	return r
 }
 
-// runShards is the detector shard count jobs should use.
-func (r *Runner) runShards() int {
-	if r.shards < 1 {
-		return 1
-	}
-	return r.shards
-}
-
 // runOpts is the pipeline shape every detector job of this runner uses.
 func (r *Runner) runOpts() detect.RunOpts {
-	opts := detect.RunOpts{Shards: r.runShards(), GCShadow: r.gc, Obs: r.obs}
+	opts := detect.RunOpts{GCShadow: r.gc, Obs: r.obs}
 	if r.overlap {
 		opts = opts.Overlapped()
-		opts.AdaptiveSegments = r.adaptive
 	}
 	return opts
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -143,15 +144,18 @@ func (r OverheadRow) EventRatio() float64 {
 // Helgrind+ lib vs Helgrind+ lib+spin(7) on the same program and seed.
 func Overhead(m parsec.Model) (OverheadRow, error) { return defaultRunner.overhead(m) }
 
-// overhead runs one model's lib/spin pair on the runner's pipeline shape;
-// the figures (events, shadow bytes, loops, edges) are independent of the
-// shard count and overlap knob, only wall-clock changes.
+// overhead runs one model's lib/spin pair on the runner's pipeline shape,
+// counting each run's events ahead of the detector; the figures (events,
+// shadow bytes, loops, edges) are independent of the overlap knob, only
+// wall-clock changes.
 func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
 	row := OverheadRow{Program: m.Name}
 	prep := detect.PrepareBuild(m.Build)
 	opts := r.runOpts()
 
-	repLib, ctrLib, _, err := prep.RunWithCounter(detect.HelgrindPlusLib(), 1, opts)
+	ctrLib := &event.Counter{}
+	opts.Tap = ctrLib
+	repLib, _, err := prep.Run(detect.HelgrindPlusLib(), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib on %s: %w", m.Name, err)
 	}
@@ -159,7 +163,9 @@ func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
 	row.EventsLib = ctrLib.Total
 	row.ShadowLib = repLib.ShadowBytes
 
-	repSpin, ctrSpin, _, err := prep.RunWithCounter(detect.HelgrindPlusLibSpin(7), 1, opts)
+	ctrSpin := &event.Counter{}
+	opts.Tap = ctrSpin
+	repSpin, _, err := prep.Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib+spin on %s: %w", m.Name, err)
 	}

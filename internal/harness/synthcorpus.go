@@ -28,13 +28,12 @@ type SynthRow struct {
 }
 
 // SynthCorpus scores every tool preset over a generated corpus of n seeded
-// programs on the runner's engine (and per-run shard count), returning one
-// row per preset in PresetNames order. Row contents are byte-identical for
-// every worker and shard count.
+// programs on the runner's engine, returning one row per preset in
+// PresetNames order. Row contents are byte-identical for every worker
+// count.
 func (r *Runner) SynthCorpus(n int64, schedSeed int64) ([]SynthRow, *synth.CorpusReport, error) {
 	d := &synth.Differ{
 		Eng:       r.eng,
-		Shards:    r.runShards(),
 		Overlap:   r.overlap,
 		SchedSeed: schedSeed,
 	}

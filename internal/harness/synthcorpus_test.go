@@ -7,7 +7,7 @@ import (
 )
 
 // TestSynthCorpusDeterminism: the corpus rows are byte-identical across
-// the sequential engine, a parallel engine, and sharded detectors —
+// the sequential engine, a parallel engine, and the overlapped pipeline —
 // the same guarantee the paper tables carry.
 func TestSynthCorpusDeterminism(t *testing.T) {
 	const n = 20
@@ -17,7 +17,7 @@ func TestSynthCorpusDeterminism(t *testing.T) {
 	}
 	variants := []*Runner{
 		NewRunner(sched.Options{Workers: 4}),
-		NewRunner(sched.Options{Workers: 4}).WithShards(2),
+		NewRunner(sched.Options{Workers: 4}).WithOverlap(true),
 	}
 	for i, r := range variants {
 		rows, _, err := r.SynthCorpus(n, 1)

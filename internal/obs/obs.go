@@ -1,8 +1,7 @@
 // Package obs is the pipeline observability layer: atomic counters,
 // log2-bucketed duration/value histograms, and span recording, threaded
 // through every stage of the detection pipeline (vm quantum execution,
-// segment rotation, demux fan-out, shard apply, merge, GC, clock-store
-// inflation, server sessions).
+// segment rotation, merge, GC, clock-store inflation, server sessions).
 //
 // The contract is that observation is provably free when disabled: every
 // hook is a method on a possibly-nil *Pipeline handle and compiles to a
@@ -74,11 +73,6 @@ const (
 	// HistSegApplyNs times the consumer driving one segment through the
 	// detector.
 	HistSegApplyNs
-	// HistFlushWaitNs times coordinator waits for a shard's queued work
-	// (event.Demux.FlushShard on its slow path).
-	HistFlushWaitNs
-	// HistShardApplyNs times one demuxed batch through a shard worker.
-	HistShardApplyNs
 	// HistMergeNs times report assembly (warning merge + counter roll-up).
 	HistMergeNs
 	// HistGCNs times one quiescence GC cycle's coordinator work.
@@ -88,9 +82,6 @@ const (
 	HistOutboxStallNs
 	// HistSegEvents buckets events per dispatched segment.
 	HistSegEvents
-	// HistBatchEntries buckets entries per demuxed shard batch (the queue
-	// depth each dispatch observed).
-	HistBatchEntries
 	// HistOutboxDepth buckets outbox occupancy sampled at every session
 	// send.
 	HistOutboxDepth
@@ -99,9 +90,8 @@ const (
 )
 
 var histNames = [numHists]string{
-	"quantum_ns", "stall_ns", "seg_apply_ns", "flush_wait_ns",
-	"shard_apply_ns", "merge_ns", "gc_ns", "outbox_stall_ns",
-	"seg_events", "batch_entries", "outbox_depth",
+	"quantum_ns", "stall_ns", "seg_apply_ns", "merge_ns", "gc_ns",
+	"outbox_stall_ns", "seg_events", "outbox_depth",
 }
 
 // histBuckets is the bucket count: bucket i holds values v with
@@ -130,7 +120,7 @@ func (h *histogram) observe(v int64) {
 }
 
 // Track identifies a span's timeline row (Chrome trace "thread") within a
-// Pipeline's process group. Shard rows are open-ended: TrackShard(i).
+// Pipeline's process group.
 type Track int32
 
 // Tracks.
@@ -140,9 +130,6 @@ const (
 	// TrackPipeline is the segment pipeline row: producer stalls and the
 	// consumer's per-segment detector batches.
 	TrackPipeline
-	// TrackDemux is the coordinator's fan-out row: batch dispatch instants
-	// and flush waits.
-	TrackDemux
 	// TrackHB is the clock store's row (inflation instants).
 	TrackHB
 	// TrackMerge is report assembly.
@@ -151,12 +138,7 @@ const (
 	TrackGC
 	// TrackSession is the server session lifecycle row.
 	TrackSession
-	// trackShard0 starts the per-shard rows; must stay last.
-	trackShard0
 )
-
-// TrackShard returns the span row of shard worker i.
-func TrackShard(i int) Track { return trackShard0 + Track(i) }
 
 // trackName names a track for trace export and validation.
 func trackName(tr Track) string {
@@ -165,8 +147,6 @@ func trackName(tr Track) string {
 		return "vm"
 	case TrackPipeline:
 		return "pipeline"
-	case TrackDemux:
-		return "demux"
 	case TrackHB:
 		return "hb"
 	case TrackMerge:
@@ -176,7 +156,7 @@ func trackName(tr Track) string {
 	case TrackSession:
 		return "session"
 	}
-	return fmt.Sprintf("shard %d", int(tr-trackShard0))
+	return fmt.Sprintf("track %d", int(tr))
 }
 
 // Time is a monotonic timestamp in nanoseconds since the Recorder

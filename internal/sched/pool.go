@@ -7,12 +7,10 @@ import (
 )
 
 // Pool is the streaming counterpart of Engine.ForEach: a set of long-lived
-// workers, each with its own FIFO job queue. Where ForEach runs a batch of
-// independent jobs on any free worker, Pool gives the caller *placement*:
-// jobs submitted to the same worker run serially, in submission order, while
-// different workers run concurrently. That per-worker FIFO guarantee is what
-// the sharded detector builds on — all events of one shadow shard go to one
-// worker, so per-address processing order equals stream order.
+// workers, each with its own FIFO job queue, fed one job at a time as work
+// arrives (the server's detection sessions) instead of as a batch. Jobs
+// placed on one worker run serially, in placement order, while different
+// workers run concurrently.
 type Pool struct {
 	queues []chan func()
 	wg     sync.WaitGroup
@@ -21,15 +19,15 @@ type Pool struct {
 	inflight []atomic.Int64
 
 	// panicked holds the first panic value recovered from a job, re-raised
-	// on the submitting goroutine by Check or Close. Workers recover and
-	// keep draining so queued Submit calls never block on a dead worker.
+	// on the closing goroutine by Close. Workers recover and keep draining
+	// so queued submissions never block on a dead worker.
 	mu       sync.Mutex
 	panicked any
 	hasPanic bool
 }
 
-// queueDepth bounds how many jobs may queue per worker before Submit
-// blocks. It is back-pressure, not a correctness knob: deep queues let a
+// queueDepth bounds how many jobs may queue per worker before
+// SubmitBalanced blocks. It is back-pressure, not a correctness knob: deep queues let a
 // fast producer build up a large in-flight working set (and garbage) for
 // no throughput gain, so the bound is kept small.
 const queueDepth = 8
@@ -73,19 +71,10 @@ func (p *Pool) run(job func()) {
 // Workers returns the number of workers.
 func (p *Pool) Workers() int { return len(p.queues) }
 
-// Submit enqueues a job on one worker's queue. Jobs submitted to the same
-// worker run serially in submission order. Blocks when that worker's queue
-// is full.
-func (p *Pool) Submit(worker int, job func()) {
-	p.queues[worker%len(p.queues)] <- job
-}
-
 // SubmitBalanced enqueues a job on the currently least-loaded worker and
-// returns the worker chosen. Placement, not order, is the contract here —
-// jobs submitted this way are independent of each other (the server's
-// detection sessions), so the per-worker FIFO guarantee Submit callers rely
-// on is irrelevant and the pool is free to spread long-running jobs away
-// from busy queues. Load is the number of balanced jobs submitted to a
+// returns the worker chosen. Jobs submitted this way are independent of
+// each other (the server's detection sessions), so the pool is free to
+// spread long-running jobs away from busy queues. Load is the number of balanced jobs submitted to a
 // worker and not yet finished; the scan is racy against finishing jobs,
 // which can only make the choice stale, never wrong.
 func (p *Pool) SubmitBalanced(job func()) int {
@@ -104,24 +93,15 @@ func (p *Pool) SubmitBalanced(job func()) int {
 	return best
 }
 
-// Check re-raises the first panic recovered from a job, if any. Callers
-// that wait for submitted work (the demux flush) call it so a crashing job
-// surfaces on the submitting goroutine instead of vanishing.
-func (p *Pool) Check() {
-	p.mu.Lock()
-	r, ok := p.panicked, p.hasPanic
-	p.mu.Unlock()
-	if ok {
-		panic(r)
-	}
-}
-
-// Close stops all workers after their queues drain, then re-raises any job
-// panic. The pool must not be used after Close.
+// Close stops all workers after their queues drain, then re-raises the
+// first job panic, if any, so a crashing job surfaces instead of
+// vanishing. The pool must not be used after Close.
 func (p *Pool) Close() {
 	for _, q := range p.queues {
 		close(q)
 	}
 	p.wg.Wait()
-	p.Check()
+	if p.hasPanic {
+		panic(p.panicked)
+	}
 }

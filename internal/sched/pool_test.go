@@ -1,36 +1,27 @@
 package sched
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestPoolPerWorkerFIFO submits interleaved jobs to several workers and
-// checks that each worker's jobs ran serially in submission order — the
-// guarantee detector sharding builds on.
+// TestPoolPerWorkerFIFO submits jobs with balanced placement and checks
+// that each worker ran the jobs placed on it serially, in placement order.
 func TestPoolPerWorkerFIFO(t *testing.T) {
 	const workers, jobs = 4, 200
 	p := NewPool(workers)
-	var mu sync.Mutex
-	got := make([][]int, workers)
+	var seq atomic.Int64
+	ranAt := make([]int64, jobs)
+	placed := make([][]int, workers)
 	for j := 0; j < jobs; j++ {
-		j := j
-		w := j % workers
-		p.Submit(w, func() {
-			mu.Lock()
-			got[w] = append(got[w], j)
-			mu.Unlock()
-		})
+		w := p.SubmitBalanced(func() { ranAt[j] = seq.Add(1) })
+		placed[w] = append(placed[w], j)
 	}
 	p.Close()
-	for w := 0; w < workers; w++ {
-		if len(got[w]) != jobs/workers {
-			t.Fatalf("worker %d ran %d jobs, want %d", w, len(got[w]), jobs/workers)
-		}
-		for i := 1; i < len(got[w]); i++ {
-			if got[w][i] <= got[w][i-1] {
-				t.Errorf("worker %d ran job %d after job %d", w, got[w][i], got[w][i-1])
+	for w, js := range placed {
+		for i := 1; i < len(js); i++ {
+			if ranAt[js[i]] <= ranAt[js[i-1]] {
+				t.Errorf("worker %d ran job %d before job %d", w, js[i], js[i-1])
 			}
 		}
 	}
@@ -41,7 +32,7 @@ func TestPoolCloseDrains(t *testing.T) {
 	p := NewPool(3)
 	var n atomic.Int64
 	for j := 0; j < 500; j++ {
-		p.Submit(j, func() { n.Add(1) })
+		p.SubmitBalanced(func() { n.Add(1) })
 	}
 	p.Close()
 	if n.Load() != 500 {
@@ -49,14 +40,14 @@ func TestPoolCloseDrains(t *testing.T) {
 	}
 }
 
-// TestPoolPanic checks that a panicking job surfaces on the submitting
-// goroutine via Check/Close instead of killing the worker silently.
+// TestPoolPanic checks that a panicking job surfaces on the closing
+// goroutine via Close instead of killing the worker silently.
 func TestPoolPanic(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(0, func() { panic("boom") })
+	p := NewPool(1)
+	p.SubmitBalanced(func() { panic("boom") })
 	// The worker must survive and keep processing.
 	var ran atomic.Bool
-	p.Submit(0, func() { ran.Store(true) })
+	p.SubmitBalanced(func() { ran.Store(true) })
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Errorf("recovered %v, want \"boom\"", r)

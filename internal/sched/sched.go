@@ -15,10 +15,8 @@
 // the submitting goroutine, for debugging and for the determinism tests
 // that compare the two modes.
 //
-// Pool is the second, finer-grained primitive: long-lived workers whose
-// individual queues preserve submission order. The sharded detector pins
-// each shadow shard to one Pool worker to keep per-address event
-// processing in stream order; see event.Demux and internal/detect.
+// Pool is the second, streaming primitive: long-lived workers with
+// least-loaded placement, which the detection server runs its sessions on.
 package sched
 
 import (

@@ -114,14 +114,10 @@ type SessionRequest struct {
 	// Repeat runs seeds Seed..Seed+Repeat-1 in one session (default 1),
 	// sharing the compiled workload across runs.
 	Repeat int `json:"repeat,omitempty"`
-	// Shards partitions each run's detector shadow state (detect.RunOpts).
-	Shards int `json:"shards,omitempty"`
 	// Overlap enables the segmented vm→detector pipeline at the default
 	// segment size; SegmentEvents picks an explicit size (implies overlap).
 	Overlap       bool `json:"overlap,omitempty"`
 	SegmentEvents int  `json:"segment_events,omitempty"`
-	// AdaptiveSegments sizes overlap segments from observed stalls.
-	AdaptiveSegments bool `json:"adaptive_segments,omitempty"`
 	// GCEvents overrides the quiescence shadow-GC cycle period in events
 	// (0 keeps detect.DefaultGCEvents). Only meaningful while the server
 	// runs with the GC enabled; reports are byte-identical at any period.
@@ -206,11 +202,6 @@ type RunResult struct {
 
 	Steps   int64 `json:"steps"`
 	Threads int   `json:"threads"`
-
-	SegmentStalls  int64 `json:"segment_stalls,omitempty"`
-	SegmentGrows   int64 `json:"segment_grows,omitempty"`
-	SegmentShrinks int64 `json:"segment_shrinks,omitempty"`
-	SegmentSize    int   `json:"segment_size,omitempty"`
 }
 
 // runResult renders one run for the stream.
@@ -232,10 +223,6 @@ func runResult(run int, seed int64, rep *detect.Report, res vm.Result, last bool
 		RacyContexts:      rep.RacyContexts(),
 		Steps:             res.Steps,
 		Threads:           res.Threads,
-		SegmentStalls:     res.SegmentStalls,
-		SegmentGrows:      res.SegmentGrows,
-		SegmentShrinks:    res.SegmentShrinks,
-		SegmentSize:       res.SegmentSize,
 	}
 }
 

@@ -147,7 +147,7 @@ func directFingerprint(t *testing.T, workload string, cfg detect.Config, seed in
 	if !ok {
 		t.Fatalf("unknown workload %q", workload)
 	}
-	rep, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	rep, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("direct run %s: %v", workload, err)
 	}
@@ -220,7 +220,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{Workload: "ww_two_threads", Tool: "no_such_tool"},
 		{Workload: ""},
 		{Workload: "ww_two_threads", Tool: "spin", Repeat: 2_000_000},
-		{Workload: "ww_two_threads", Tool: "spin", Shards: 1000},
+		{Workload: "ww_two_threads", Tool: "spin", SegmentEvents: 1 << 21},
 	} {
 		_, err := c.Run(req)
 		we, ok := err.(*serve.WireError)

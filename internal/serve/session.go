@@ -237,22 +237,20 @@ func (ss *session) run() {
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
-		Shards:           ss.req.Shards,
-		SegmentEvents:    ss.req.SegmentEvents,
-		AdaptiveSegments: ss.req.AdaptiveSegments,
-		GCShadow:         !ss.srv.cfg.DisableShadowGC,
-		GCEvents:         ss.req.GCEvents,
-		Fault:            ss.srv.cfg.Fault,
-		Obs:              ss.obs,
-		Tap:              &ss.tap,
-		Interrupt:        &ss.stop,
+		SegmentEvents: ss.req.SegmentEvents,
+		GCShadow:      !ss.srv.cfg.DisableShadowGC,
+		GCEvents:      ss.req.GCEvents,
+		Fault:         ss.srv.cfg.Fault,
+		Obs:           ss.obs,
+		Tap:           &ss.tap,
+		Interrupt:     &ss.stop,
 		OnWarning: func(w detect.Warning) {
 			ss.warnCount.Add(1)
 			ss.srv.metrics.warningsStreamed.Add(1)
 			ss.send(FrameWarning, wireWarning(run, w))
 		},
 	}
-	if opts.SegmentEvents == 0 && (ss.req.Overlap || ss.req.AdaptiveSegments) {
+	if opts.SegmentEvents == 0 && ss.req.Overlap {
 		opts.SegmentEvents = -1
 	}
 	for ; run < ss.req.Repeat; run++ {

@@ -137,21 +137,19 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	prog := buildLongTraceProgram(o)
 	prep := detect.Prepare(prog)
 	ins, dec := prep.Instrument(o.Cfg), prep.Decoded(o.Cfg)
-	d := detect.NewSharded(o.Cfg, ins, prog, o.Opts.Shards)
-	defer d.Close()
+	d := detect.New(o.Cfg, ins, prog)
 	if o.Opts.GCShadow {
 		d.EnableShadowGC(o.Opts.GCEvents)
 	}
 	for w := 0; w < o.Windows; w++ {
 		_, err := vm.Run(prog, vm.Options{
-			Seed:             seed + int64(w),
-			KnownLibs:        o.Cfg.KnownLibs,
-			Instr:            ins,
-			Decoded:          dec,
-			Sink:             d,
-			SegmentEvents:    o.Opts.SegmentEvents,
-			AdaptiveSegments: o.Opts.AdaptiveSegments,
-			MaxSteps:         o.MaxSteps,
+			Seed:          seed + int64(w),
+			KnownLibs:     o.Cfg.KnownLibs,
+			Instr:         ins,
+			Decoded:       dec,
+			Sink:          d,
+			SegmentEvents: o.Opts.SegmentEvents,
+			MaxSteps:      o.MaxSteps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("longtrace window %d: %w", w, err)

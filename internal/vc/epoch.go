@@ -52,7 +52,7 @@ func (e Epoch) OrderedBefore(c *Clock) bool {
 }
 
 // OrderedBeforeFrozen is OrderedBefore against a frozen clock view — the
-// form the detector's shard entries carry.
+// form the detector's access path reads.
 func (e Epoch) OrderedBeforeFrozen(f Frozen) bool {
 	return e.Tick() <= f.Get(e.Tid())
 }

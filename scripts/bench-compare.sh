@@ -17,8 +17,8 @@
 # can gate a PR even on noisy single-CPU runners. Set ALLOC_GATE_PCT=off
 # to report without gating.
 #
-# The replay benchmarks (BenchmarkReplayEventsPerSec/*) additionally gate
-# on ns/op: they decode a fixed recorded stream with no vm, so their
+# The replay benchmark (BenchmarkReplayEventsPerSec) additionally gates
+# on ns/op: it decodes a fixed recorded stream with no vm, so their
 # ns/op is ns-per-event up to a constant and is the one wall-clock signal
 # stable enough to gate — REPLAY_NS_GATE_PCT (default 50, generous for
 # shared runners; off to disable) bounds the regression.
@@ -114,11 +114,9 @@ case "${awk_status:-0}" in
 esac
 
 cat <<'EOF'
-note: single-CPU runners (this repo's CI) time the sharded (-shards) and
-overlapped (-overlap) pipelines as pure coordination overhead — their ns/op
-here is the worst case. On a multicore runner the same knobs convert that
-overhead into parallel speedup; allocs/op is the machine-independent signal
-in these records.
+note: single-CPU runners time the overlapped (-overlap) pipeline as pure
+coordination overhead — its ns/op here is the worst case. allocs/op is the
+machine-independent signal in these records.
 EOF
 
 if [ "${gate_failed:-0}" = 1 ]; then

@@ -12,9 +12,9 @@
 #     | sed 's/\\n/\n/g; s/\\t/\t/g' | grep -E '^(Benchmark|goos|goarch|pkg|cpu)'
 #
 # Usage: [GO=go1.x] bench-save.sh [bench-regexp]
-# Default records the accuracy-table smoke, the replay scaling benchmark
-# and the decode-only trace benchmark in one `go test` run, so every BENCH
-# record carries the table trajectory, the events/sec curve and the trace
+# Default records the accuracy-table smoke, the replay benchmark and the
+# decode-only trace benchmark in one `go test` run, so every BENCH record
+# carries the table trajectory, the replay events/sec and the trace
 # decoder's ns/event.
 set -eu
 bench="${1:-BenchmarkTable1\$|BenchmarkReplayEventsPerSec|BenchmarkTraceDecode\$}"
@@ -38,13 +38,13 @@ done
 # so the trailer is invisible to them.
 sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
-# EventsPerSec: the shards-1 replay throughput when the record includes
-# the replay benchmark (0 otherwise) — the single-number perf headline a
+# EventsPerSec: the replay throughput when the record includes the replay
+# benchmark (0 otherwise) — the single-number perf headline a
 # record can be skimmed by.
 evsec="$(grep -o '"Output":"[^"]*"' "$out" \
 	| sed 's/^"Output":"//; s/"$//' | tr -d '\n' \
 	| sed 's/\\n/\n/g; s/\\t/\t/g' \
-	| awk '/^BenchmarkReplayEventsPerSec\/shards-1/ {
+	| awk '/^BenchmarkReplayEventsPerSec(-[0-9]+)?[ \t]/ {
 		for (i = 2; i <= NF; i++) if ($i == "events/sec") { print $(i-1); exit }
 	}')"
 printf '{"BenchMeta":{"Commit":"%s","GoMaxProcs":%s,"NumCPU":%s,"EventsPerSec":%s}}\n' \
