@@ -29,10 +29,10 @@
 // timing histograms from the observability layer (internal/obs).
 //
 // With -trace out.json the run records per-stage spans — vm quanta,
-// segment pipeline batches and stalls, GC cycles, report merge — and writes Chrome trace-event JSON loadable
-// in chrome://tracing or Perfetto. -gc-events shortens the shadow-GC
-// cycle period (with -gc-shadow) so short workloads exercise GC cycles
-// too.
+// segment pipeline batches and stalls, GC cycles, report merge — and
+// writes Chrome trace-event JSON loadable in chrome://tracing or Perfetto.
+// -gc-events shortens the shadow-GC cycle period (with -gc-shadow) so
+// short workloads exercise GC cycles too.
 //
 // With -record the workload runs once with no detector and its event
 // stream is written as a binary trace (internal/event's record/replay

@@ -30,9 +30,9 @@ package detect
 // detector's pool — is output-invisible, with one carve-out: the sticky
 // flags (atomicEver, suspected, reported) gate *suppression*, not
 // ordering, and forgetting them could resurrect a deduplicated warning or
-// rewind the long-run state machine. They are preserved in a per-page bitmap side
-// table (retiredFlags) and restored when the word is next touched, so the
-// precision delta of the GC is exactly zero — which
+// rewind the long-run state machine. They are preserved in a per-page
+// bitmap side table (retiredFlags) and restored when the word is next
+// touched, so the precision delta of the GC is exactly zero — which
 // TestShadowGCEquivalence* holds corpus-wide and
 // TestShadowGCPrecisionContract pins on the adversarial cases.
 //

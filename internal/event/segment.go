@@ -9,8 +9,8 @@ import (
 
 // Trace-segmented overlap: the producer (the vm's execution loop) appends
 // events into the current segment buffer; a full segment is handed to a
-// consumer goroutine that drives the downstream sink (the detector
-// coordinator) while the producer fills the other buffer. Execution and
+// consumer goroutine that drives the downstream sink (the detector) while
+// the producer fills the other buffer. Execution and
 // detection overlap within one run, yet the downstream sink still observes
 // the exact serial event order — every Handle call happens on the one
 // consumer goroutine, in stream order — so reports are byte-identical to

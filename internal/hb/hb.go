@@ -164,7 +164,7 @@ type store struct {
 }
 
 // SetObs attaches an observability pipeline to the store. The detector
-// coordinator calls it (via an interface assertion, so the seed reference
+// calls it (via an interface assertion, so the seed reference
 // engine needs no hook) before any events flow.
 func (e *store) SetObs(p *obs.Pipeline) { e.obs = p }
 

@@ -75,7 +75,7 @@ const (
 	HistSegApplyNs
 	// HistMergeNs times report assembly (warning merge + counter roll-up).
 	HistMergeNs
-	// HistGCNs times one quiescence GC cycle's coordinator work.
+	// HistGCNs times one quiescence GC cycle.
 	HistGCNs
 	// HistOutboxStallNs times server session sends that blocked on a full
 	// outbox — the write-stall half of the server's backpressure chain.
