@@ -6,6 +6,7 @@ package serve_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,7 +241,15 @@ func TestDrainGraceful(t *testing.T) {
 	s := openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: repeat})
 	results := 0
 	readerDone := make(chan error, 1)
+	// The reader starts only once draining has begun: until then the
+	// session's writer blocks on the pipe, so the session is still running
+	// however fast its runs are.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	startReader := func() { releaseOnce.Do(func() { close(release) }) }
+	defer startReader()
 	go func() {
+		<-release
 		for {
 			fr, err := s.nextErr()
 			if err != nil {
@@ -281,6 +290,7 @@ func TestDrainGraceful(t *testing.T) {
 	lateConn.Close()
 
 	// The in-flight session runs to its natural end.
+	startReader()
 	if err := <-readerDone; err != nil {
 		t.Fatalf("session ended early under drain: %v", err)
 	}
@@ -315,6 +325,10 @@ func TestHangupAfterLastResultCountsCompleted(t *testing.T) {
 			if fr.Type == serve.FrameResult && fr.Result.Last {
 				break
 			}
+		}
+		// A client that has read its last result finds its session counted.
+		if got := srv.Snapshot().SessionsCompleted; got != int64(i+1) {
+			t.Errorf("session %d: completed = %d right after its last result, want %d", i, got, i+1)
 		}
 		conn.Close()
 	}

@@ -382,7 +382,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		})
 		<-runDone
 		s.tokens <- struct{}{} // release
-		s.metrics.sessionEnded(ss.cancelCode())
+		if !ss.ended {
+			s.metrics.sessionEnded(ss.cancelCode())
+		}
 	} else {
 		// Canceled while waiting for admission (client gone or shutdown).
 		ss.setFinal(ss.cancelCode(), "session canceled before admission")

@@ -89,6 +89,10 @@ type session struct {
 	// evicted marks the session as already chosen for eviction (guarded by
 	// srv.mu), so the evict-oldest scan never picks a victim twice.
 	evicted bool
+	// ended marks the outcome as already recorded by run (completed, before
+	// the last result is queued); written on the pool worker, read by the
+	// conn handler after the run has returned.
+	ended bool
 
 	// Live gauges for the metrics endpoint.
 	tap       event.AtomicCounter
@@ -284,11 +288,14 @@ func (ss *session) run() {
 		ss.runsDone.Add(1)
 		last := run == ss.req.Repeat-1
 		if last {
-			// Every run is done. A client may hang up as soon as it reads
-			// the last result, before the handler records the outcome:
-			// from here on readWatch must not count that as a disconnect,
-			// nor may admission pick this session as an eviction victim.
+			// Every run is done. A client may hang up, or read the server's
+			// counters, as soon as it reads the last result: from here on
+			// readWatch must not count a hang-up as a disconnect, admission
+			// may not pick this session as an eviction victim, and the
+			// session is counted completed before that frame is queued.
 			ss.state.Store(stateDone)
+			ss.srv.metrics.sessionEnded("")
+			ss.ended = true
 		}
 		if !ss.send(FrameResult, runResult(run, seed, rep, res, last)) {
 			ss.setFinal(ss.cancelCode(), "session canceled")
@@ -356,7 +363,7 @@ func (ss *session) writeFrame(fr outFrame) error {
 // the request is a protocol violation, EOF or an error means the client is
 // gone — and cancels the session. The handler closes the conn at teardown,
 // which unblocks this read; cancellation after stateDone is a no-op for
-// accounting (sessionEnded has the real outcome by then).
+// accounting (the outcome is recorded by then).
 func (ss *session) readWatch() {
 	defer close(ss.readerDone)
 	var buf [1]byte
